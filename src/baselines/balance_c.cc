@@ -44,13 +44,13 @@ Allocation BalanceC(const Graph& graph, const UtilityConfig& config,
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
 
   Allocation result(config.num_items());
-  // Lazy CELF refreshes go through the batch API (batch of one) so every
-  // re-evaluation reuses the estimator's world-snapshot pool.
+  // One marginal session per CELF round, as in GreedyWm (greedy_wm.cc).
+  MarginalSession session =
+      estimator.Marginals(Allocation::Union(result, sp_or_empty));
   auto marginal = [&](NodeId v, ItemId i) {
     Allocation extra(config.num_items());
     extra.Add(v, i);
-    return estimator.MarginalBalancedExposureBatch(
-        Allocation::Union(result, sp_or_empty), {&extra, 1})[0];
+    return session.BalancedExposure(extra);
   };
 
   // The initial candidate grid shares one base; sweep it in one batch.
@@ -82,6 +82,9 @@ Allocation BalanceC(const Graph& graph, const UtilityConfig& config,
     --remaining[top.item];
     --total_remaining;
     ++round;
+    if (total_remaining > 0) {
+      session = estimator.Marginals(Allocation::Union(result, sp_or_empty));
+    }
   }
   return result;
 }

@@ -88,16 +88,16 @@ Allocation GreedyWm(const Graph& graph, const UtilityConfig& config,
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
 
   Allocation result(config.num_items());
-  // Batch-of-one refresh: lazy CELF re-evaluations are sequential (each
-  // base depends on the picks so far), but the batch API lets them reuse
-  // the estimator's world-snapshot pool instead of re-deriving every
-  // world per call.
+  // Lazy CELF refreshes are sequential, but every refresh of one round
+  // shares its base (the picks so far): the round's session records the
+  // base diffusion once per world, and each refresh re-simulates only the
+  // candidate's live-reach region on top of it.
+  MarginalSession session =
+      estimator.Marginals(Allocation::Union(result, sp_or_empty));
   auto marginal = [&](NodeId v, ItemId i) {
     Allocation extra(config.num_items());
     extra.Add(v, i);
-    return estimator
-        .MarginalWelfareBatch(Allocation::Union(result, sp_or_empty),
-                              {&extra, 1})[0];
+    return session.Welfare(extra);
   };
 
   // Initial heap population: the full (node, item) candidate grid shares
@@ -135,6 +135,9 @@ Allocation GreedyWm(const Graph& graph, const UtilityConfig& config,
     --remaining[top.item];
     --total_remaining;
     ++round;
+    if (total_remaining > 0) {
+      session = estimator.Marginals(Allocation::Union(result, sp_or_empty));
+    }
   }
   return result;
 }

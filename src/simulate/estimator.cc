@@ -23,19 +23,18 @@ Rng NoiseRngOf(uint64_t base, int world) {
   return WorldNoiseRngOf(base, world);
 }
 
-// Runs `fn(blocks, group, first_block_index)` over the blocks of one
-// chunk, grouping kPackedGroup consecutive blocks per pass when the wide
-// arm is enabled. Grouping depends only on the option and the block
-// count — never on the CPU — so per-candidate accumulation order (blocks
+// Runs `fn(blocks, group)` over the blocks of one chunk, kPackedGroup
+// consecutive blocks per pass (the wide arm) and the remainder one block
+// at a time (the narrow arm). Grouping depends only on the block count —
+// never on the CPU — so per-candidate accumulation order (blocks
 // ascending, lanes ascending inside each block) is identical on every
 // machine.
 template <typename Fn>
 void ForEachBlockGroup(std::span<const PackedWorldSet::Block> blocks,
-                       bool wide, const Fn& fn) {
+                       const Fn& fn) {
   const PackedWorldSet::Block* ptrs[kPackedGroup];
   for (std::size_t b = 0; b < blocks.size();) {
-    const int group =
-        wide && b + kPackedGroup <= blocks.size() ? kPackedGroup : 1;
+    const int group = b + kPackedGroup <= blocks.size() ? kPackedGroup : 1;
     for (int g = 0; g < group; ++g) ptrs[g] = &blocks[b + g];
     fn(ptrs, group);
     b += static_cast<std::size_t>(group);
@@ -51,25 +50,31 @@ WelfareEstimator::WelfareEstimator(const Graph& graph,
   CWM_CHECK(options_.num_worlds > 0);
 }
 
+unsigned WelfareEstimator::NumThreads() const {
+  return options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
+}
+
 std::size_t WelfareEstimator::NumChunks() const {
-  const unsigned threads =
-      options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
   return std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, options_.num_worlds));
+      1, std::min<std::size_t>(NumThreads(), options_.num_worlds));
+}
+
+std::size_t WelfareEstimator::BudgetBytes() const {
+  return options_.pool_store != nullptr ? options_.pool_store->budget_bytes()
+                                        : options_.snapshot_budget_bytes;
 }
 
 const WorldPool& WelfareEstimator::EnsurePool() const {
   const std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_ == nullptr) {
-    const unsigned threads =
-        options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
     if (options_.pool_store != nullptr) {
       pool_ = options_.pool_store->GetOrBuild(graph_, config_, options_.seed,
-                                              options_.num_worlds, threads);
+                                              options_.num_worlds,
+                                              NumThreads());
     } else {
       pool_ = std::make_shared<const WorldPool>(
           graph_, config_, options_.seed, options_.num_worlds,
-          options_.snapshot_budget_bytes, threads);
+          options_.snapshot_budget_bytes, NumThreads());
     }
     // Worlds past the snapshot budget stream lazily (bit-identical,
     // just slower); count them so a silently under-budgeted run shows
@@ -112,26 +117,23 @@ const PackedWorldSet* WelfareEstimator::EnsurePacked() const {
   // All-or-nothing budget gate: the packed layout (blocks + per-chunk
   // kernel scratch) cannot partially materialize, so over budget means
   // the scalar snapshot path, which can.
-  const std::size_t budget = options_.pool_store != nullptr
-                                 ? options_.pool_store->budget_bytes()
-                                 : options_.snapshot_budget_bytes;
   if (PackedWorldSet::EstimateBytes(graph_, m, options_.num_worlds, chunks) >
-      budget) {
+      BudgetBytes()) {
     fallback.Add(1);
     return nullptr;
   }
 
   CWM_TRACE_SPAN("simulate.pack_worlds",
                  {{"worlds", options_.num_worlds}, {"chunks", chunks}});
-  const unsigned threads =
-      options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
   if (options_.pool_store != nullptr) {
     packed_ = options_.pool_store->GetOrBuildPacked(
-        graph_, config_, options_.seed, options_.num_worlds, chunks, threads);
+        graph_, config_, options_.seed, options_.num_worlds, chunks,
+        NumThreads());
     if (packed_ == nullptr) fallback.Add(1);
   } else {
     packed_ = std::make_shared<const PackedWorldSet>(
-        graph_, config_, options_.seed, options_.num_worlds, chunks, threads);
+        graph_, config_, options_.seed, options_.num_worlds, chunks,
+        NumThreads());
   }
   return packed_.get();
 }
@@ -222,7 +224,7 @@ std::vector<WelfareStats> WelfareEstimator::StatsBatch(
           // chunk loop does — per-candidate FP accumulation matches the
           // streaming path bit for bit.
           ForEachBlockGroup(
-              packed->ChunkBlocks(c), options_.packed_wide,
+              packed->ChunkBlocks(c),
               [&](const PackedWorldSet::Block* const* blocks, int group) {
                 for (std::size_t j = 0; j < count; ++j) {
                   engine.Run(blocks, group, allocations[j], outs);
@@ -327,14 +329,13 @@ std::vector<double> WelfareEstimator::MarginalWelfareBatch(
   CWM_TRACE_SPAN("simulate.marginal_batch",
                  {{"batch", count}, {"worlds", options_.num_worlds}});
   if (count == 0) return {};
-  std::vector<Allocation> merged;
-  merged.reserve(count);
-  for (const Allocation& extra : extras) {
-    merged.push_back(Allocation::Union(base, extra));
-  }
-
-  const std::size_t chunks = NumChunks();
   if (const PackedWorldSet* packed = EnsurePacked()) {
+    std::vector<Allocation> merged;
+    merged.reserve(count);
+    for (const Allocation& extra : extras) {
+      merged.push_back(Allocation::Union(base, extra));
+    }
+    const std::size_t chunks = NumChunks();
     static Counter& packed_worlds =
         MetricsRegistry::Global().GetCounter("simulate.packed_worlds");
     packed_worlds.Add(static_cast<uint64_t>(options_.num_worlds));
@@ -351,7 +352,7 @@ std::vector<double> WelfareEstimator::MarginalWelfareBatch(
           // batch; each lane's `without` is the exact double the scalar
           // path computes for that world.
           ForEachBlockGroup(
-              packed->ChunkBlocks(c), options_.packed_wide,
+              packed->ChunkBlocks(c),
               [&](const PackedWorldSet::Block* const* blocks, int group) {
                 engine.Run(blocks, group, base, base_outs);
                 for (std::size_t j = 0; j < count; ++j) {
@@ -374,45 +375,8 @@ std::vector<double> WelfareEstimator::MarginalWelfareBatch(
     return totals;
   }
 
-  const WorldPool& pool = EnsurePool();
-  std::vector<std::vector<double>> partial(chunks);
-  ParallelFor(
-      chunks,
-      [&](std::size_t c) {
-        UicSimulator sim(graph_, config_);
-        std::vector<double>& acc = partial[c];
-        acc.assign(count, 0.0);
-        for (int w = static_cast<int>(c); w < options_.num_worlds;
-             w += static_cast<int>(chunks)) {
-          // The base diffusion runs once per world for the whole batch;
-          // RunWorld is a pure function of (allocation, world), so the
-          // shared `without` is the exact double the streaming marginal
-          // computes per candidate.
-          if (const WorldSnapshot* snapshot = pool.Get(w)) {
-            const double without = sim.RunWorld(base, *snapshot).welfare;
-            for (std::size_t j = 0; j < count; ++j) {
-              acc[j] += sim.RunWorld(merged[j], *snapshot).welfare - without;
-            }
-          } else {
-            const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-            Rng noise_rng = NoiseRngOf(options_.seed, w);
-            const WorldUtilityTable table(config_, noise_rng);
-            const double without = sim.RunWorld(base, edges, table).welfare;
-            for (std::size_t j = 0; j < count; ++j) {
-              acc[j] +=
-                  sim.RunWorld(merged[j], edges, table).welfare - without;
-            }
-          }
-        }
-      },
-      static_cast<unsigned>(chunks));
-
-  std::vector<double> totals(count, 0.0);
-  for (std::size_t j = 0; j < count; ++j) {
-    for (const std::vector<double>& p : partial) totals[j] += p[j];
-    totals[j] /= options_.num_worlds;
-  }
-  return totals;
+  return MarginalSession(*this, base, /*retain=*/false)
+      .Gains(extras, MarginalSession::Objective::kWelfare);
 }
 
 std::vector<double> WelfareEstimator::MarginalBalancedExposureBatch(
@@ -422,15 +386,14 @@ std::vector<double> WelfareEstimator::MarginalBalancedExposureBatch(
   CWM_TRACE_SPAN("simulate.exposure_batch",
                  {{"batch", count}, {"worlds", options_.num_worlds}});
   if (count == 0) return {};
-  std::vector<Allocation> merged;
-  merged.reserve(count);
-  for (const Allocation& extra : extras) {
-    merged.push_back(Allocation::Union(base, extra));
-  }
-  const bool base_empty = base.Empty();
-
-  const std::size_t chunks = NumChunks();
   if (const PackedWorldSet* packed = EnsurePacked()) {
+    std::vector<Allocation> merged;
+    merged.reserve(count);
+    for (const Allocation& extra : extras) {
+      merged.push_back(Allocation::Union(base, extra));
+    }
+    const bool base_empty = base.Empty();
+    const std::size_t chunks = NumChunks();
     static Counter& packed_worlds =
         MetricsRegistry::Global().GetCounter("simulate.packed_worlds");
     packed_worlds.Add(static_cast<uint64_t>(options_.num_worlds));
@@ -445,9 +408,9 @@ std::vector<double> WelfareEstimator::MarginalBalancedExposureBatch(
           PackedOutcome outs[kPackedGroup];
           // balance = n - one_sided; the n terms cancel in the marginal,
           // and the empty allocation has one_sided == 0 (same arithmetic
-          // as the scalar batch below).
+          // as the scalar MarginalSession pass).
           ForEachBlockGroup(
-              packed->ChunkBlocks(c), options_.packed_wide,
+              packed->ChunkBlocks(c),
               [&](const PackedWorldSet::Block* const* blocks, int group) {
                 if (!base_empty) engine.Run(blocks, group, base, base_outs);
                 for (std::size_t j = 0; j < count; ++j) {
@@ -475,54 +438,154 @@ std::vector<double> WelfareEstimator::MarginalBalancedExposureBatch(
     return totals;
   }
 
-  const WorldPool& pool = EnsurePool();
-  std::vector<std::vector<double>> partial(chunks);
+  return MarginalSession(*this, base, /*retain=*/false)
+      .Gains(extras, MarginalSession::Objective::kExposure);
+}
+
+MarginalSession WelfareEstimator::Marginals(const Allocation& base) const {
+  return MarginalSession(*this, base, /*retain=*/true);
+}
+
+MarginalSession::MarginalSession(const WelfareEstimator& estimator,
+                                 const Allocation& base, bool retain)
+    : estimator_(&estimator),
+      base_(base),
+      base_seeds_(base.SeededItemsets()),
+      retain_(retain),
+      chunks_(estimator.NumChunks()) {
+  // Only a retaining session decides the path up front; the one-shot pass
+  // runs from inside a batch method that already declined packing.
+  packed_ = retain_ && estimator.EnsurePacked() != nullptr;
+  if (packed_) return;
+  pool_ = &estimator.EnsurePool();
+  if (retain_) {
+    sims_.resize(chunks_);
+    worlds_.resize(static_cast<std::size_t>(estimator.options().num_worlds));
+  }
+}
+
+double MarginalSession::Welfare(const Allocation& extra) {
+  if (packed_) return estimator_->MarginalWelfareBatch(base_, {&extra, 1})[0];
+  ScopedPhaseTimer phase(Phase::kEstimate);
+  CWM_TRACE_SPAN("simulate.marginal_batch",
+                 {{"batch", 1}, {"worlds", estimator_->options().num_worlds}});
+  return Gains({&extra, 1}, Objective::kWelfare)[0];
+}
+
+double MarginalSession::BalancedExposure(const Allocation& extra) {
+  if (packed_) {
+    return estimator_->MarginalBalancedExposureBatch(base_, {&extra, 1})[0];
+  }
+  ScopedPhaseTimer phase(Phase::kEstimate);
+  CWM_TRACE_SPAN("simulate.exposure_batch",
+                 {{"batch", 1}, {"worlds", estimator_->options().num_worlds}});
+  return Gains({&extra, 1}, Objective::kExposure)[0];
+}
+
+void MarginalSession::Prepare(UicSimulator& sim, int w, RecordedWorld* world,
+                              std::size_t* room) const {
+  if (const WorldSnapshot* snapshot = pool_->Get(w)) {
+    sim.Record(base_seeds_, *snapshot, world);
+    const std::size_t bytes = world->bytes();
+    if (bytes <= *room) {
+      if (retain_) *room -= bytes;
+      return;
+    }
+    world->replayable = false;
+    if (retain_) {
+      // Free the over-budget record; only the base outcome stays.
+      RecordedWorld kept;
+      kept.outcome = std::move(world->outcome);
+      *world = std::move(kept);
+    }
+    return;
+  }
+  const uint64_t seed = estimator_->options().seed;
+  const EdgeWorld edges{EdgeSeedOf(seed, w)};
+  Rng noise_rng = NoiseRngOf(seed, w);
+  const WorldUtilityTable table(estimator_->config(), noise_rng);
+  world->outcome = sim.RunWorld(base_seeds_, edges, table);
+  world->replayable = false;
+}
+
+std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
+                                           Objective objective) {
+  const EstimatorOptions& options = estimator_->options();
+  const std::size_t count = extras.size();
+  struct Candidate {
+    std::vector<std::pair<NodeId, ItemSet>> merged;
+    std::vector<NodeId> nodes;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(count);
+  for (const Allocation& extra : extras) {
+    candidates.push_back({Allocation::Union(base_, extra).SeededItemsets(),
+                          extra.SeedNodes()});
+  }
+  // Same per-world arithmetic as the streaming references. For exposure,
+  // balance = n - one_sided: the n terms cancel in the marginal, and the
+  // empty allocation has one_sided == 0.
+  const bool base_empty = base_.Empty();
+  const auto gain = [&](const WorldOutcome& with,
+                        const WorldOutcome& without) {
+    if (objective == Objective::kWelfare) return with.welfare - without.welfare;
+    const double with_balance =
+        -static_cast<double>(with.one_sided_exposure_01);
+    const double without_balance =
+        base_empty ? 0.0
+                   : -static_cast<double>(without.one_sided_exposure_01);
+    return with_balance - without_balance;
+  };
+
+  // Records share the snapshot budget evenly across chunks, so which
+  // worlds keep one never depends on scheduling.
+  const std::size_t room = estimator_->BudgetBytes() / chunks_;
+  std::vector<std::vector<double>> partial(chunks_);
   ParallelFor(
-      chunks,
+      chunks_,
       [&](std::size_t c) {
-        UicSimulator sim(graph_, config_);
+        // A one-shot pass builds and frees its simulator and record inside
+        // the chunk, in parallel; a session keeps them for later calls.
+        std::unique_ptr<UicSimulator> local;
+        std::unique_ptr<UicSimulator>& owned = retain_ ? sims_[c] : local;
+        if (owned == nullptr) {
+          owned = std::make_unique<UicSimulator>(estimator_->graph(),
+                                                 estimator_->config());
+        }
+        UicSimulator& sim = *owned;
+        RecordedWorld scratch;
+        std::size_t left = room;
         std::vector<double>& acc = partial[c];
         acc.assign(count, 0.0);
-        for (int w = static_cast<int>(c); w < options_.num_worlds;
-             w += static_cast<int>(chunks)) {
-          // balance = n - one_sided; the n terms cancel in the marginal,
-          // and the empty allocation has one_sided == 0 (same arithmetic
-          // as MarginalBalancedExposure).
-          if (const WorldSnapshot* snapshot = pool.Get(w)) {
-            const double without =
-                base_empty ? 0.0
-                           : -static_cast<double>(
-                                 sim.RunWorld(base, *snapshot)
-                                     .one_sided_exposure_01);
+        for (int w = static_cast<int>(c); w < options.num_worlds;
+             w += static_cast<int>(chunks_)) {
+          RecordedWorld& world =
+              retain_ ? worlds_[static_cast<std::size_t>(w)] : scratch;
+          if (!recorded_) Prepare(sim, w, &world, &left);
+          if (const WorldSnapshot* snapshot = pool_->Get(w)) {
             for (std::size_t j = 0; j < count; ++j) {
-              const double with = -static_cast<double>(
-                  sim.RunWorld(merged[j], *snapshot).one_sided_exposure_01);
-              acc[j] += with - without;
+              acc[j] += gain(sim.RunOver(world, candidates[j].merged,
+                                         candidates[j].nodes, *snapshot),
+                             world.outcome);
             }
           } else {
-            const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-            Rng noise_rng = NoiseRngOf(options_.seed, w);
-            const WorldUtilityTable table(config_, noise_rng);
-            const double without =
-                base_empty ? 0.0
-                           : -static_cast<double>(
-                                 sim.RunWorld(base, edges, table)
-                                     .one_sided_exposure_01);
+            const EdgeWorld edges{EdgeSeedOf(options.seed, w)};
+            Rng noise_rng = NoiseRngOf(options.seed, w);
+            const WorldUtilityTable table(estimator_->config(), noise_rng);
             for (std::size_t j = 0; j < count; ++j) {
-              const double with = -static_cast<double>(
-                  sim.RunWorld(merged[j], edges, table)
-                      .one_sided_exposure_01);
-              acc[j] += with - without;
+              acc[j] += gain(sim.RunWorld(candidates[j].merged, edges, table),
+                             world.outcome);
             }
           }
         }
       },
-      static_cast<unsigned>(chunks));
+      static_cast<unsigned>(chunks_));
+  recorded_ = retain_;
 
   std::vector<double> totals(count, 0.0);
   for (std::size_t j = 0; j < count; ++j) {
     for (const std::vector<double>& p : partial) totals[j] += p[j];
-    totals[j] /= options_.num_worlds;
+    totals[j] /= options.num_worlds;
   }
   return totals;
 }
@@ -532,10 +595,7 @@ double WelfareEstimator::MarginalWelfare(const Allocation& base,
   ScopedPhaseTimer phase(Phase::kEstimate);
   CWM_TRACE_SPAN("simulate.marginal", {{"worlds", options_.num_worlds}});
   const Allocation merged = Allocation::Union(base, extra);
-  const unsigned threads =
-      options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, options_.num_worlds));
+  const std::size_t chunks = NumChunks();
   std::vector<double> partial(chunks, 0.0);
   ParallelFor(
       chunks,
@@ -570,10 +630,7 @@ double WelfareEstimator::MarginalBalancedExposure(
   ScopedPhaseTimer phase(Phase::kEstimate);
   CWM_TRACE_SPAN("simulate.exposure", {{"worlds", options_.num_worlds}});
   const Allocation merged = Allocation::Union(base, extra);
-  const unsigned threads =
-      options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, options_.num_worlds));
+  const std::size_t chunks = NumChunks();
   std::vector<double> partial(chunks, 0.0);
   const bool base_empty = base.Empty();
   ParallelFor(
@@ -618,10 +675,7 @@ double WelfareEstimator::MarginalSpread(const std::vector<NodeId>& base,
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
 
-  const unsigned threads =
-      options_.num_threads == 0 ? DefaultThreads() : options_.num_threads;
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(threads, options_.num_worlds));
+  const std::size_t chunks = NumChunks();
   std::vector<double> partial(chunks, 0.0);
   ParallelFor(
       chunks,

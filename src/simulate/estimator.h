@@ -21,6 +21,13 @@
 // results are bit-identical to calling the corresponding streaming method
 // per candidate, at any thread count.
 //
+// Incremental marginals: off the packed path, a marginal records the
+// base's diffusion once per snapshotted world and re-simulates only each
+// extra's live-reach region on top of it (UicSimulator::Record/RunOver).
+// The batch marginals do this per world in one pass; a MarginalSession
+// keeps the records across calls for the lazy CELF refreshes of greedyWM
+// and Balance-C. See docs/ARCHITECTURE.md for the exactness argument.
+//
 // Word-parallel evaluation: when EstimatorOptions::packed_kernel is on
 // (the default) and the batch qualifies, the batch methods evaluate 64
 // worlds per machine word with the bit-packed kernel of
@@ -87,10 +94,6 @@ struct EstimatorOptions {
   /// 0 packs unconditionally. Purely a speed decision — results are
   /// bit-identical on every path.
   double packed_min_mean_prob = 0.4;
-  /// Let the packed kernel process 4 blocks (256 worlds) per pass, with
-  /// AVX2 when the CPU has it. Identical results either way; exposed so
-  /// tests can pin the narrow arm.
-  bool packed_wide = true;
 };
 
 /// Expected-value statistics of an allocation.
@@ -101,6 +104,61 @@ struct WelfareStats {
   std::vector<double> adopters_per_item;
   /// Expected number of nodes adopting at least one item.
   double adopting_nodes = 0.0;
+};
+
+class WelfareEstimator;
+
+/// Marginal gains of many extras against one fixed base — the lazy CELF
+/// refreshes of greedyWM and Balance-C — from WelfareEstimator::Marginals.
+/// The first gain records the base's diffusion once per snapshotted world
+/// (UicSimulator::Record); every gain then re-simulates only the extra's
+/// live-reach region per world (UicSimulator::RunOver) instead of running
+/// base and base ∪ extra in full. Each gain is bit-identical to the
+/// streaming MarginalWelfare / MarginalBalancedExposure at any thread
+/// count. Records stay within the estimator's snapshot (or store) byte
+/// budget; worlds past it, or without a snapshot, take the plain
+/// diffusion. When the estimator takes the packed kernel, gains go
+/// through the packed batch instead. Not thread-safe; the estimator must
+/// outlive the session.
+class MarginalSession {
+ public:
+  /// rho(base ∪ extra) - rho(base).
+  double Welfare(const Allocation& extra);
+
+  /// BalancedExposure(base ∪ extra) - BalancedExposure(base).
+  double BalancedExposure(const Allocation& extra);
+
+ private:
+  friend class WelfareEstimator;
+  enum class Objective { kWelfare, kExposure };
+
+  /// `retain` keeps every world's record for later calls; otherwise each
+  /// world's record lives only while that world's extras are evaluated
+  /// (the one-shot pass behind the scalar batch marginals).
+  MarginalSession(const WelfareEstimator& estimator, const Allocation& base,
+                  bool retain);
+
+  /// Gain of every extra, chunked and summed exactly like the streaming
+  /// marginals.
+  std::vector<double> Gains(std::span<const Allocation> extras,
+                            Objective objective);
+
+  /// Sets `world` to world `w`'s base outcome, plus its replayable record
+  /// when the world has a snapshot and the record fits in `*room` bytes.
+  void Prepare(UicSimulator& sim, int w, RecordedWorld* world,
+               std::size_t* room) const;
+
+  const WelfareEstimator* estimator_;
+  Allocation base_;
+  std::vector<std::pair<NodeId, ItemSet>> base_seeds_;
+  bool retain_;
+  bool packed_ = false;
+  bool recorded_ = false;
+  std::size_t chunks_ = 1;
+  const WorldPool* pool_ = nullptr;
+  // Kept across calls by a retaining session only.
+  std::vector<std::unique_ptr<UicSimulator>> sims_;  // per chunk
+  std::vector<RecordedWorld> worlds_;                // per world
 };
 
 /// Monte-Carlo welfare/spread estimator bound to one graph + utility config.
@@ -124,16 +182,22 @@ class WelfareEstimator {
   std::vector<WelfareStats> StatsBatch(
       std::span<const Allocation> allocations) const;
 
-  /// rho(base ∪ extra) - rho(base), with common random numbers.
+  /// rho(base ∪ extra) - rho(base), with common random numbers. The
+  /// streaming reference every faster marginal path is tested against.
   double MarginalWelfare(const Allocation& base,
                          const Allocation& extra) const;
 
   /// Batched MarginalWelfare against one shared base: element j is
   /// bit-identical to MarginalWelfare(base, extras[j]). On top of the
   /// shared world snapshots, the base allocation's diffusion runs once
-  /// per world for the whole batch.
+  /// per world for the whole batch, and each extra re-simulates only its
+  /// live-reach region of that world (a one-shot MarginalSession pass).
   std::vector<double> MarginalWelfareBatch(
       const Allocation& base, std::span<const Allocation> extras) const;
+
+  /// A session evaluating marginal gains against `base` (see
+  /// MarginalSession); keeps the recorded base between calls.
+  MarginalSession Marginals(const Allocation& base) const;
 
   /// sigma(S): expected number of nodes reachable from `seeds` over live
   /// edges (classic IC spread; item-independent).
@@ -149,7 +213,7 @@ class WelfareEstimator {
   double BalancedExposure(const Allocation& allocation) const;
 
   /// BalancedExposure(base ∪ extra) - BalancedExposure(base), common
-  /// random numbers.
+  /// random numbers. The streaming reference of the batch and session.
   double MarginalBalancedExposure(const Allocation& base,
                                   const Allocation& extra) const;
 
@@ -167,9 +231,17 @@ class WelfareEstimator {
   const UtilityConfig& config() const { return config_; }
 
  private:
+  friend class MarginalSession;
+
+  /// Worker threads: num_threads, or the hardware concurrency when 0.
+  unsigned NumThreads() const;
+
   /// World-to-chunk striding shared by every estimate (streaming and
   /// batched): max(1, min(threads, num_worlds)).
   std::size_t NumChunks() const;
+
+  /// Byte budget of materialized worlds: the store's when one is set.
+  std::size_t BudgetBytes() const;
 
   /// The lazily built snapshot pool (one per estimator lifetime).
   const WorldPool& EnsurePool() const;

@@ -16,6 +16,8 @@
 #define CWM_SIMULATE_UIC_SIMULATOR_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -44,14 +46,55 @@ struct WorldOutcome {
   uint64_t one_sided_exposure_01 = 0;
 };
 
+/// A base allocation's diffusion in one world, recorded by
+/// UicSimulator::Record so that UicSimulator::RunOver can evaluate
+/// base ∪ extra by re-simulating only the extra's live-reach region.
+struct RecordedWorld {
+  /// One live-edge offer received by a touched node: `sender` offered the
+  /// items `fresh` (adopted one round earlier) in frontier round `round`.
+  struct Offer {
+    NodeId sender;
+    uint32_t round;
+    ItemSet fresh;
+  };
+
+  /// The base's own outcome, bit-identical to RunWorld(base, snapshot).
+  WorldOutcome outcome;
+  /// False when only `outcome` is kept (the world had no snapshot, or the
+  /// record exceeded its byte budget); RunOver then runs the plain
+  /// diffusion of base ∪ extra.
+  bool replayable = false;
+  /// Touched nodes in ascending order with their final desire and
+  /// adoption sets (index-aligned).
+  std::vector<NodeId> nodes;
+  std::vector<ItemSet> desire;
+  std::vector<ItemSet> adopted;
+  /// Offers received by nodes[i]: offers[offer_begin[i], offer_begin[i+1]).
+  std::vector<uint32_t> offer_begin;
+  std::vector<Offer> offers;
+
+  /// Heap footprint (record budget accounting).
+  std::size_t bytes() const {
+    return nodes.capacity() * sizeof(NodeId) +
+           (desire.capacity() + adopted.capacity()) * sizeof(ItemSet) +
+           offer_begin.capacity() * sizeof(uint32_t) +
+           offers.capacity() * sizeof(Offer);
+  }
+};
+
 /// Reusable single-thread UIC diffusion engine for one graph + utility
 /// configuration. Not thread-safe; create one per worker.
 class UicSimulator {
  public:
+  /// Seeded itemsets in the form Allocation::SeededItemsets returns.
+  using Seeds = std::span<const std::pair<NodeId, ItemSet>>;
+
   UicSimulator(const Graph& graph, const UtilityConfig& config);
 
   /// Runs the diffusion of `allocation` in world (`edges`, `utilities`).
   WorldOutcome RunWorld(const Allocation& allocation, const EdgeWorld& edges,
+                        const WorldUtilityTable& utilities);
+  WorldOutcome RunWorld(Seeds seeds, const EdgeWorld& edges,
                         const WorldUtilityTable& utilities);
 
   /// Runs the diffusion of `allocation` in a materialized world
@@ -60,6 +103,31 @@ class UicSimulator {
   /// so the traversal touches nodes in exactly the same sequence.
   WorldOutcome RunWorld(const Allocation& allocation,
                         const WorldSnapshot& snapshot);
+  WorldOutcome RunWorld(Seeds seeds, const WorldSnapshot& snapshot);
+
+  /// Runs the diffusion of `base` in `snapshot` and records it into
+  /// `record` (replayable, outcome bit-identical to RunWorld).
+  void Record(Seeds base, const WorldSnapshot& snapshot,
+              RecordedWorld* record);
+
+  /// The outcome of base ∪ extra in `snapshot`, where `record` is base's
+  /// recording in the same world, `merged` the seeded itemsets of
+  /// base ∪ extra and `extra_nodes` the extra's seed nodes. Bit-identical
+  /// to RunWorld(merged, snapshot).
+  ///
+  /// Only R, the live-reach closure of `extra_nodes`, is re-simulated. A
+  /// node outside R has the same seeds in both allocations and receives
+  /// offers only from nodes outside R (a live edge into it from R would
+  /// put it in R), so by induction over the synchronous rounds it follows
+  /// its recorded trajectory exactly. R is re-run from t = 1 with the
+  /// recorded offers of senders outside R injected at their rounds, and
+  /// the outcome is re-summed over recorded and re-simulated nodes in
+  /// ascending node order. Runs the plain diffusion instead when the
+  /// record is not replayable, the base has no adopters, or R outgrows
+  /// the base's touched-node count.
+  WorldOutcome RunOver(const RecordedWorld& record, Seeds merged,
+                       std::span<const NodeId> extra_nodes,
+                       const WorldSnapshot& snapshot);
 
   /// Influence spread special case: number of nodes reachable from `seeds`
   /// via live edges (the sigma(S) of classic IC; used by Lemma 2 style
@@ -68,13 +136,20 @@ class UicSimulator {
                           const EdgeWorld& edges);
 
  private:
-  /// Shared diffusion engine. `live_out(u, visit)` calls visit(NodeId to)
-  /// for every live out-neighbour of `u` in canonical edge order; the two
-  /// RunWorld overloads differ only in how they enumerate live edges.
-  template <typename LiveOutFn>
-  WorldOutcome RunDiffusion(const Allocation& allocation,
-                            const WorldUtilityTable& utilities,
-                            const LiveOutFn& live_out);
+  /// Shared diffusion engine: runs the rounds and leaves the final state
+  /// of every touched node in desire_/adopted_. `live_out(u, visit)` calls
+  /// visit(NodeId to) for every live out-neighbour of `u` in canonical
+  /// edge order; the RunWorld overloads differ only in how they enumerate
+  /// live edges. `hooks` sees every live-edge offer
+  /// (hooks.Offer(round, from, to, fresh)), can deliver extra offers at
+  /// the start of a round (hooks.Inject(round, deliver)), and keeps the
+  /// rounds going while hooks.Pending(round) says offers are still due.
+  template <typename LiveOutFn, typename Hooks>
+  void RunDiffusion(Seeds seeds, const WorldUtilityTable& utilities,
+                    const LiveOutFn& live_out, Hooks& hooks);
+
+  /// Outcome over the touched nodes, summed in ascending node order.
+  WorldOutcome Aggregate(const WorldUtilityTable& utilities);
 
   /// Ensures node scratch entries are current for this run.
   void Touch(NodeId v);
@@ -97,6 +172,26 @@ class UicSimulator {
   std::vector<NodeId> affected_;       // nodes whose desire grew this round
   std::vector<uint32_t> affected_stamp_;
   uint32_t affected_epoch_ = 0;
+
+  // Record / RunOver scratch, allocated on first use.
+  struct RawOffer {
+    NodeId to;
+    RecordedWorld::Offer offer;
+  };
+  struct Injection {
+    uint32_t round;
+    NodeId to;
+    ItemSet fresh;
+  };
+  struct RecordHooks;
+  struct ReplayHooks;
+  std::vector<RawOffer> raw_offers_;
+  std::vector<uint32_t> slot_;          // Record: node -> index in nodes
+  std::vector<uint32_t> region_stamp_;  // RunOver: node in R
+  uint32_t region_epoch_ = 0;
+  std::vector<NodeId> region_;
+  std::vector<std::pair<NodeId, ItemSet>> region_seeds_;
+  std::vector<Injection> injections_;
 };
 
 }  // namespace cwm

@@ -3,15 +3,23 @@
 // return values *bit-identical* to the streaming methods for every
 // candidate — at 1/2/8 threads, for empty allocations and batch size 1,
 // and whether worlds come from materialized snapshots or the streaming
-// fallback (tiny / zero snapshot budget).
+// fallback (tiny / zero snapshot budget). The incremental marginals
+// (UicSimulator::Record / RunOver and MarginalSession) are held to the
+// same standard: per world against RunWorld, per gain against the
+// streaming references.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "exp/configs.h"
+#include "graph/edge_prob.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/allocation.h"
 #include "simulate/estimator.h"
+#include "simulate/uic_simulator.h"
 #include "simulate/world_pool.h"
 
 namespace cwm {
@@ -183,6 +191,269 @@ TEST(EstimatorBatchTest, PoolIsBuiltOnceAndReused) {
   ExpectStatsBitEqual(first[0], second[0]);
   EXPECT_EQ(est.snapshot_stats().bytes, stats.bytes);  // same pool object
 }
+
+// ---------------------------------------------------------------------
+// Incremental marginals.
+// ---------------------------------------------------------------------
+
+struct Network {
+  std::string name;
+  Graph graph;
+};
+
+/// Small weak-tie and strong-tie graphs: weighted cascade, and uniform
+/// p = 0.1 / 0.5 on the same topology. Strong ties make the extras'
+/// live-reach regions outgrow the base, so the fallback runs too.
+std::vector<Network> Networks() {
+  const Graph topology = ErdosRenyi(150, 750, 11);
+  std::vector<Network> out;
+  out.push_back({"wc", WithWeightedCascade(topology)});
+  out.push_back({"p0.1", WithConstantProb(topology, 0.1)});
+  out.push_back({"p0.5", WithConstantProb(topology, 0.5)});
+  return out;
+}
+
+struct NamedConfig {
+  std::string name;
+  UtilityConfig config;
+};
+
+std::vector<NamedConfig> Configs() {
+  std::vector<NamedConfig> out;
+  out.push_back({"C1", MakeConfigC1()});
+  out.push_back({"C5", MakeConfigC5()});
+  out.push_back({"table4", MakeThreeItemConfig()});
+  out.push_back({"mixed", MakeMixedComplementConfig()});
+  return out;
+}
+
+/// Bases: empty, an S_P-like pair of seeds, and 30 seeded pairs.
+std::vector<Allocation> Bases(int num_items) {
+  std::vector<Allocation> out;
+  out.emplace_back(num_items);
+  Allocation sp(num_items);
+  sp.Add(3, 0);
+  sp.Add(40, num_items - 1);
+  out.push_back(sp);
+  Allocation large(num_items);
+  Rng rng(2024);
+  while (large.TotalPairs() < 30) {
+    large.Add(static_cast<NodeId>(rng.NextBounded(150)),
+              static_cast<ItemId>(rng.NextBounded(num_items)));
+  }
+  out.push_back(large);
+  return out;
+}
+
+/// Extras against `base`: a single pair, a base node with another item, a
+/// pair already in the base, and a multi-node block.
+std::vector<Allocation> Extras(const Allocation& base) {
+  const int m = base.num_items();
+  std::vector<Allocation> out;
+  Allocation single(m);
+  single.Add(17, 0);
+  out.push_back(single);
+  for (ItemId i = 0; i < m; ++i) {
+    if (base.SeedsOf(i).empty()) continue;
+    Allocation other_item(m);
+    other_item.Add(base.SeedsOf(i).front(), (i + 1) % m);
+    out.push_back(other_item);
+    Allocation existing(m);
+    existing.Add(base.SeedsOf(i).back(), i);
+    out.push_back(existing);
+    break;
+  }
+  Allocation block(m);
+  for (NodeId v : {5u, 23u, 61u, 88u, 120u}) block.Add(v, 1 % m);
+  out.push_back(block);
+  return out;
+}
+
+void ExpectOutcomeEqual(const WorldOutcome& got, const WorldOutcome& want,
+                        const std::string& where) {
+  EXPECT_EQ(std::memcmp(&got.welfare, &want.welfare, sizeof(double)), 0)
+      << where << ": welfare " << got.welfare << " vs " << want.welfare;
+  EXPECT_EQ(got.adopters_per_item, want.adopters_per_item) << where;
+  EXPECT_EQ(got.adopting_nodes, want.adopting_nodes) << where;
+  EXPECT_EQ(got.one_sided_exposure_01, want.one_sided_exposure_01) << where;
+}
+
+/// Size of the live-reach closure of `nodes` in `snapshot` — whether
+/// RunOver re-simulates a region or falls back is decided by this.
+std::size_t ReachSize(const WorldSnapshot& snapshot, std::size_t num_nodes,
+                      const std::vector<NodeId>& nodes) {
+  std::vector<bool> seen(num_nodes, false);
+  std::vector<NodeId> queue;
+  for (NodeId v : nodes) {
+    if (!seen[v]) {
+      seen[v] = true;
+      queue.push_back(v);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (NodeId to : snapshot.LiveOut(queue[head])) {
+      if (!seen[to]) {
+        seen[to] = true;
+        queue.push_back(to);
+      }
+    }
+  }
+  return queue.size();
+}
+
+// World level: the outcome RunOver re-simulates from a record is the
+// outcome RunWorld computes for base ∪ extra, field by field, welfare to
+// the bit — one record serving every extra, as in a session.
+TEST(IncrementalMarginalTest, RunOverEqualsRunWorldPerWorld) {
+  std::size_t replayed = 0;
+  for (const Network& net : Networks()) {
+    for (const NamedConfig& nc : Configs()) {
+      const UtilityConfig& c = nc.config;
+      UicSimulator sim(net.graph, c);
+      UicSimulator reference(net.graph, c);
+      RecordedWorld record;
+      for (int w = 0; w < 12; ++w) {
+        const WorldSnapshot snapshot(net.graph, c, WorldEdgeSeedOf(5, w),
+                                     WorldNoiseRngOf(5, w));
+        for (const Allocation& base : Bases(c.num_items())) {
+          sim.Record(base.SeededItemsets(), snapshot, &record);
+          const std::string where = net.name + "/" + nc.name + " world " +
+                                    std::to_string(w) + " base " +
+                                    base.ToString();
+          ExpectOutcomeEqual(record.outcome,
+                             reference.RunWorld(base, snapshot), where);
+          for (const Allocation& extra : Extras(base)) {
+            const Allocation merged = Allocation::Union(base, extra);
+            const std::vector<NodeId> nodes = extra.SeedNodes();
+            ExpectOutcomeEqual(
+                sim.RunOver(record, merged.SeededItemsets(), nodes,
+                            snapshot),
+                reference.RunWorld(merged, snapshot),
+                where + " extra " + extra.ToString());
+            if (record.outcome.adopting_nodes > 0 &&
+                ReachSize(snapshot, net.graph.num_nodes(), nodes) <=
+                    record.nodes.size()) {
+              ++replayed;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The inputs must exercise the re-simulation, not only the fallback.
+  EXPECT_GT(replayed, 500u);
+}
+
+// A boundary offer can reach R after R's own frontier has died out: the
+// re-run must keep going until every recorded offer into R is delivered.
+// Chain 0 -> 1 -> 2 -> 3 -> 4 (base seed 0) brings item 0 to node 4 in
+// round 3; the extra seeds node 6 -> 4 -> 5 with item 1, whose own
+// cascade is over after round 1.
+TEST(IncrementalMarginalTest, LateBoundaryOfferAfterRegionFrontierDies) {
+  GraphBuilder b(7);
+  for (const auto& [u, v] : {std::pair{0u, 1u}, std::pair{1u, 2u},
+                            std::pair{2u, 3u}, std::pair{3u, 4u},
+                            std::pair{6u, 4u}, std::pair{4u, 5u}}) {
+    b.AddEdge(u, v, 1.0);
+  }
+  const Graph g = std::move(b).Build();
+  for (const UtilityConfig& c : {MakeConfigC1(), MakeConfigC3()}) {
+    Allocation base(c.num_items());
+    base.Add(0, 0);
+    Allocation extra(c.num_items());
+    extra.Add(6, 1);
+    const Allocation merged = Allocation::Union(base, extra);
+    UicSimulator sim(g, c);
+    UicSimulator reference(g, c);
+    RecordedWorld record;
+    int late = 0;
+    for (int w = 0; w < 40; ++w) {
+      const WorldSnapshot snapshot(g, c, WorldEdgeSeedOf(9, w),
+                                   WorldNoiseRngOf(9, w));
+      sim.Record(base.SeededItemsets(), snapshot, &record);
+      ExpectOutcomeEqual(
+          sim.RunOver(record, merged.SeededItemsets(), {{6}}, snapshot),
+          reference.RunWorld(merged, snapshot),
+          "world " + std::to_string(w));
+      // Item 0 crossed the whole chain, so node 4 gets it in round 3.
+      if (record.nodes.size() == 6) ++late;
+    }
+    EXPECT_GE(late, 10);  // noise lets the base adopt in most worlds
+  }
+}
+
+class MarginalSessionTest : public ::testing::TestWithParam<unsigned> {};
+
+// Gain level: session gains (retained records, reused across calls) and
+// the one-shot batch pass equal the streaming references to the bit, with
+// a full snapshot budget and with one covering only some worlds.
+TEST_P(MarginalSessionTest, GainsBitEqualStreaming) {
+  for (const Network& net : Networks()) {
+    const std::size_t per_world = EstimateSnapshotFootprint(net.graph).bytes;
+    for (const NamedConfig& nc : Configs()) {
+      const UtilityConfig& c = nc.config;
+      for (const std::size_t budget :
+           {std::size_t{256} << 20, per_world * 10}) {
+        const WelfareEstimator est(net.graph, c,
+                                   {.num_worlds = 33,
+                                    .seed = 71,
+                                    .num_threads = GetParam(),
+                                    .snapshot_budget_bytes = budget,
+                                    .packed_kernel = false});
+        for (const Allocation& base : Bases(c.num_items())) {
+          const std::vector<Allocation> extras = Extras(base);
+          MarginalSession session = est.Marginals(base);
+          const std::vector<double> welfare_batch =
+              est.MarginalWelfareBatch(base, extras);
+          const std::vector<double> exposure_batch =
+              est.MarginalBalancedExposureBatch(base, extras);
+          for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t j = 0; j < extras.size(); ++j) {
+              const std::string where =
+                  net.name + "/" + nc.name + " budget " +
+                  std::to_string(budget) + " base " + base.ToString() +
+                  " extra " + extras[j].ToString();
+              const double welfare = est.MarginalWelfare(base, extras[j]);
+              const double exposure =
+                  est.MarginalBalancedExposure(base, extras[j]);
+              EXPECT_EQ(session.Welfare(extras[j]), welfare) << where;
+              EXPECT_EQ(session.BalancedExposure(extras[j]), exposure)
+                  << where;
+              EXPECT_EQ(welfare_batch[j], welfare) << where;
+              EXPECT_EQ(exposure_batch[j], exposure) << where;
+            }
+          }
+        }
+        if (budget != (std::size_t{256} << 20)) {
+          const int snapshotted = est.snapshot_stats().snapshotted;
+          EXPECT_GT(snapshotted, 0);
+          EXPECT_LT(snapshotted, 33);
+        }
+      }
+    }
+  }
+}
+
+// With the packed kernel engaged (strong ties, enough worlds) a session
+// takes the packed batch; its gains still equal the streaming references.
+TEST_P(MarginalSessionTest, PackedEstimatorSessionBitEqualsStreaming) {
+  const Graph g = WithConstantProb(ErdosRenyi(150, 750, 11), 0.5);
+  const UtilityConfig c = MakeConfigC1();
+  const WelfareEstimator est(
+      g, c, {.num_worlds = 64, .seed = 8, .num_threads = GetParam()});
+  for (const Allocation& base : Bases(c.num_items())) {
+    MarginalSession session = est.Marginals(base);
+    for (const Allocation& extra : Extras(base)) {
+      EXPECT_EQ(session.Welfare(extra), est.MarginalWelfare(base, extra));
+      EXPECT_EQ(session.BalancedExposure(extra),
+                est.MarginalBalancedExposure(base, extra));
+    }
+  }
+  EXPECT_EQ(est.snapshot_stats().snapshotted, 0);  // never left packing
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, MarginalSessionTest,
+                         ::testing::Values(1u, 2u, 8u));
 
 TEST(WorldSnapshotTest, LiveOutMatchesLazyEdgeWorld) {
   const Graph g = TestGraph();

@@ -196,21 +196,24 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 63, 64, 65, 1000)));
 
 // The wide arm (4 blocks per pass, AVX2-compiled where available) must be
-// bit-identical to the one-block arm. With 1000 worlds on 2 threads each
-// chunk has 8 blocks, so grouping genuinely engages.
+// bit-identical to the scalar path. With 1000 worlds on 2 threads each
+// chunk has 8 blocks, all in wide groups; with 320 worlds on 1 thread the
+// single chunk's 5 blocks run as one wide group plus a narrow remainder.
 TEST(PackedWorldTest, WideArmBitEqualsNarrowArm) {
   const Graph g = TestGraph();
   const UtilityConfig c = MakeConfigC5();
   const std::vector<Allocation> candidates = Candidates(c.num_items());
-  EstimatorOptions wide = PackedOpts(1000, 2, 31);
-  EstimatorOptions narrow = wide;
-  narrow.packed_wide = false;
-  const WelfareEstimator wide_est(g, c, wide);
-  const WelfareEstimator narrow_est(g, c, narrow);
-  const std::vector<WelfareStats> a = wide_est.StatsBatch(candidates);
-  const std::vector<WelfareStats> b = narrow_est.StatsBatch(candidates);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t j = 0; j < a.size(); ++j) ExpectStatsBitEqual(a[j], b[j]);
+  for (const auto& [worlds, threads] :
+       {std::pair{1000, 2u}, std::pair{320, 1u}}) {
+    const WelfareEstimator packed(g, c, PackedOpts(worlds, threads, 31));
+    const WelfareEstimator scalar(g, c, ScalarOpts(worlds, threads, 31));
+    const std::vector<WelfareStats> a = packed.StatsBatch(candidates);
+    const std::vector<WelfareStats> b = scalar.StatsBatch(candidates);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      ExpectStatsBitEqual(a[j], b[j]);
+    }
+  }
   // Informational only — results above hold either way.
   (void)PackedAvx2Active();
 }
