@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for the estimator and selection design choices:
 //
 //  1. Common random numbers (CRN) in marginal-welfare estimation vs two
 //     independent estimates — variance at equal sample budget. CRN is what
@@ -7,20 +7,18 @@
 //     identical selections, very different running time.
 //  3. PRIMA+ epsilon sweep — RR-set count and seed quality as the accuracy
 //     knob moves (the paper fixes eps = 0.5).
-//  4. Seed-ranking quality: PRIMA+ greedy order vs the classic heuristics
-//     (HighDegree, DegreeDiscount, reverse PageRank) under the Table 5
-//     configuration — now the engine scenario "ranking-quality"; the
-//     RR-set ranking must dominate.
 //
-// Sections 1-3 probe estimator/kernel internals below the scenario
-// abstraction, so they drive the library directly; graphs come from the
-// engine's NetworkSpec, and section 4 runs through the registry.
+// Seed-ranking quality (PRIMA+ order vs the classic heuristics) is the
+// engine scenario `cwm_run ranking-quality`. These sections probe
+// estimator/kernel internals below the scenario abstraction, so they
+// drive the library directly; the graph comes from the engine's
+// NetworkSpec.
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
-#include "bench_common.h"
 #include "exp/configs.h"
+#include "exp/networks.h"
 #include "rrset/node_selection.h"
 #include "rrset/prima_plus.h"
 #include "rrset/rr_sampler.h"
@@ -31,7 +29,6 @@
 namespace {
 
 using namespace cwm;
-using namespace cwm::bench;
 
 void CrnVariance(const Graph& graph) {
   std::printf("\n-- (1) CRN vs independent marginal estimation "
@@ -144,8 +141,8 @@ void EpsilonSweep(const Graph& graph) {
 }  // namespace
 
 int main() {
-  PrintHeader("Ablations: CRN marginals, lazy greedy, epsilon, rankings",
-              "design-choice ablations from DESIGN.md (not a paper figure)");
+  std::printf("Ablations: CRN marginals, lazy greedy, epsilon "
+              "(design choices, not a paper figure)\n");
   NetworkSpec nethept_spec;
   nethept_spec.family = "nethept-like";
   const Graph graph = nethept_spec.Build().value();
@@ -153,6 +150,5 @@ int main() {
   CrnVariance(graph);
   LazyVsNaiveGreedy(graph);
   EpsilonSweep(graph);
-  std::printf("\n-- (4) seed-ranking quality (engine scenario)\n");
-  return RunRegisteredScenarios({"ranking-quality"});
+  return 0;
 }

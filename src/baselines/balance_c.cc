@@ -44,7 +44,8 @@ Allocation BalanceC(const Graph& graph, const UtilityConfig& config,
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
 
   Allocation result(config.num_items());
-  // One marginal session per CELF round, as in GreedyWm (greedy_wm.cc).
+  // One marginal session advanced by every pick, as in GreedyWm
+  // (greedy_wm.cc).
   MarginalSession session =
       estimator.Marginals(Allocation::Union(result, sp_or_empty));
   auto marginal = [&](NodeId v, ItemId i) {
@@ -83,7 +84,9 @@ Allocation BalanceC(const Graph& graph, const UtilityConfig& config,
     --total_remaining;
     ++round;
     if (total_remaining > 0) {
-      session = estimator.Marginals(Allocation::Union(result, sp_or_empty));
+      Allocation pick(config.num_items());
+      pick.Add(top.node, top.item);
+      session.Advance(pick);
     }
   }
   return result;

@@ -89,9 +89,10 @@ Allocation GreedyWm(const Graph& graph, const UtilityConfig& config,
 
   Allocation result(config.num_items());
   // Lazy CELF refreshes are sequential, but every refresh of one round
-  // shares its base (the picks so far): the round's session records the
-  // base diffusion once per world, and each refresh re-simulates only the
-  // candidate's live-reach region on top of it.
+  // shares its base (the picks so far): the session keeps the base
+  // diffusion recorded per world, each refresh re-simulates only the
+  // candidate's live-reach region on top of it, and each pick advances
+  // the records by the pick's own region instead of re-recording them.
   MarginalSession session =
       estimator.Marginals(Allocation::Union(result, sp_or_empty));
   auto marginal = [&](NodeId v, ItemId i) {
@@ -136,7 +137,9 @@ Allocation GreedyWm(const Graph& graph, const UtilityConfig& config,
     --total_remaining;
     ++round;
     if (total_remaining > 0) {
-      session = estimator.Marginals(Allocation::Union(result, sp_or_empty));
+      Allocation pick(config.num_items());
+      pick.Add(top.node, top.item);
+      session.Advance(pick);
     }
   }
   return result;

@@ -122,7 +122,7 @@ std::vector<NodeId> PageRankRank(const Graph& graph, std::size_t k,
 namespace {
 
 /// Classic-IM rankings feeding utility-ordered blocks: sanity baselines
-/// the RR-set algorithms must dominate (bench_ablation).
+/// the RR-set algorithms must dominate (`cwm_run ranking-quality`).
 class HeuristicRankAllocator final : public Allocator {
  public:
   explicit HeuristicRankAllocator(AlgoKind kind) : kind_(kind) {}

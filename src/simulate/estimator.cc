@@ -1,6 +1,7 @@
 #include "simulate/estimator.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/phase.h"
@@ -482,10 +483,26 @@ double MarginalSession::BalancedExposure(const Allocation& extra) {
   return Gains({&extra, 1}, Objective::kExposure)[0];
 }
 
+void MarginalSession::Advance(const Allocation& pick) {
+  base_ = Allocation::Union(base_, pick);
+  base_seeds_ = base_.SeededItemsets();
+  if (!recorded_) return;
+  const std::vector<NodeId> nodes = pick.SeedNodes();
+  std::vector<NodeId> pending;
+  std::set_union(pending_.begin(), pending_.end(), nodes.begin(), nodes.end(),
+                 std::back_inserter(pending));
+  pending_ = std::move(pending);
+}
+
 void MarginalSession::Prepare(UicSimulator& sim, int w, RecordedWorld* world,
-                              std::size_t* room) const {
+                              RecordedWorld* spare, std::size_t* room) const {
   if (const WorldSnapshot* snapshot = pool_->Get(w)) {
-    sim.Record(base_seeds_, *snapshot, world);
+    if (recorded_ && world->replayable) {
+      sim.Advance(*world, base_seeds_, pending_, *snapshot, spare);
+      std::swap(*world, *spare);
+    } else {
+      sim.Record(base_seeds_, *snapshot, world);
+    }
     const std::size_t bytes = world->bytes();
     if (bytes <= *room) {
       if (retain_) *room -= bytes;
@@ -538,7 +555,9 @@ std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
   };
 
   // Records share the snapshot budget evenly across chunks, so which
-  // worlds keep one never depends on scheduling.
+  // worlds keep one never depends on scheduling. Every pass that records
+  // or advances re-accounts them.
+  const bool prepare = !recorded_ || !pending_.empty();
   const std::size_t room = estimator_->BudgetBytes() / chunks_;
   std::vector<std::vector<double>> partial(chunks_);
   ParallelFor(
@@ -553,7 +572,7 @@ std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
                                                  estimator_->config());
         }
         UicSimulator& sim = *owned;
-        RecordedWorld scratch;
+        RecordedWorld scratch, spare;
         std::size_t left = room;
         std::vector<double>& acc = partial[c];
         acc.assign(count, 0.0);
@@ -561,7 +580,7 @@ std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
              w += static_cast<int>(chunks_)) {
           RecordedWorld& world =
               retain_ ? worlds_[static_cast<std::size_t>(w)] : scratch;
-          if (!recorded_) Prepare(sim, w, &world, &left);
+          if (prepare) Prepare(sim, w, &world, &spare, &left);
           if (const WorldSnapshot* snapshot = pool_->Get(w)) {
             for (std::size_t j = 0; j < count; ++j) {
               acc[j] += gain(sim.RunOver(world, candidates[j].merged,
@@ -581,6 +600,7 @@ std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
       },
       static_cast<unsigned>(chunks_));
   recorded_ = retain_;
+  pending_.clear();
 
   std::vector<double> totals(count, 0.0);
   for (std::size_t j = 0; j < count; ++j) {

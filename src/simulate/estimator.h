@@ -5,9 +5,9 @@
 // allocations, so the difference estimator has far lower variance than two
 // independent estimates — essential for the marginal checks of SeqGRD and
 // the greedyWM baseline. The paper runs 5000 simulations per estimate
-// (§6.1.3); the default here is 500 for the single-core container and is
-// raised via EstimatorOptions or the CWM_SIMS environment variable in the
-// bench harness.
+// (§6.1.3); EstimatorOptions defaults to 500, and the sweep engine
+// (cwm_run) reads the in-algorithm count from the CWM_SIMS environment
+// variable, default 200.
 //
 // Batched evaluation: StatsBatch / MarginalWelfareBatch /
 // MarginalBalancedExposureBatch sweep every candidate allocation through
@@ -26,7 +26,9 @@
 // extra's live-reach region on top of it (UicSimulator::Record/RunOver).
 // The batch marginals do this per world in one pass; a MarginalSession
 // keeps the records across calls for the lazy CELF refreshes of greedyWM
-// and Balance-C. See docs/ARCHITECTURE.md for the exactness argument.
+// and Balance-C, and advances them by each round's pick
+// (UicSimulator::Advance) instead of re-recording. See
+// docs/ARCHITECTURE.md for the exactness argument.
 //
 // Word-parallel evaluation: when EstimatorOptions::packed_kernel is on
 // (the default) and the batch qualifies, the batch methods evaluate 64
@@ -108,18 +110,20 @@ struct WelfareStats {
 
 class WelfareEstimator;
 
-/// Marginal gains of many extras against one fixed base — the lazy CELF
-/// refreshes of greedyWM and Balance-C — from WelfareEstimator::Marginals.
-/// The first gain records the base's diffusion once per snapshotted world
-/// (UicSimulator::Record); every gain then re-simulates only the extra's
-/// live-reach region per world (UicSimulator::RunOver) instead of running
-/// base and base ∪ extra in full. Each gain is bit-identical to the
-/// streaming MarginalWelfare / MarginalBalancedExposure at any thread
-/// count. Records stay within the estimator's snapshot (or store) byte
-/// budget; worlds past it, or without a snapshot, take the plain
-/// diffusion. When the estimator takes the packed kernel, gains go
-/// through the packed batch instead. Not thread-safe; the estimator must
-/// outlive the session.
+/// Marginal gains of many extras against a base that grows by one pick
+/// per round — the lazy CELF refreshes of greedyWM and Balance-C — from
+/// WelfareEstimator::Marginals. The first gain records the base's
+/// diffusion once per snapshotted world (UicSimulator::Record); every gain
+/// then re-simulates only the extra's live-reach region per world
+/// (UicSimulator::RunOver) instead of running base and base ∪ extra in
+/// full, and the first gain after Advance derives each world's next record
+/// from the current one (UicSimulator::Advance). Each gain is
+/// bit-identical to the streaming MarginalWelfare /
+/// MarginalBalancedExposure against the current base at any thread count.
+/// Records stay within the estimator's snapshot (or store) byte budget;
+/// worlds past it, or without a snapshot, take the plain diffusion. When
+/// the estimator takes the packed kernel, gains go through the packed
+/// batch instead. Not thread-safe; the estimator must outlive the session.
 class MarginalSession {
  public:
   /// rho(base ∪ extra) - rho(base).
@@ -127,6 +131,10 @@ class MarginalSession {
 
   /// BalancedExposure(base ∪ extra) - BalancedExposure(base).
   double BalancedExposure(const Allocation& extra);
+
+  /// Moves the base to base ∪ pick. The records advance at the next gain,
+  /// by every pick since the last one at once.
+  void Advance(const Allocation& pick);
 
  private:
   friend class WelfareEstimator;
@@ -145,8 +153,10 @@ class MarginalSession {
 
   /// Sets `world` to world `w`'s base outcome, plus its replayable record
   /// when the world has a snapshot and the record fits in `*room` bytes.
+  /// A replayable record of an earlier base advances by `pending_`, with
+  /// `spare` as the buffer it is written into.
   void Prepare(UicSimulator& sim, int w, RecordedWorld* world,
-               std::size_t* room) const;
+               RecordedWorld* spare, std::size_t* room) const;
 
   const WelfareEstimator* estimator_;
   Allocation base_;
@@ -154,6 +164,9 @@ class MarginalSession {
   bool retain_;
   bool packed_ = false;
   bool recorded_ = false;
+  /// Seed nodes of the picks the records have not advanced by yet
+  /// (ascending, unique).
+  std::vector<NodeId> pending_;
   std::size_t chunks_ = 1;
   const WorldPool* pool_ = nullptr;
   // Kept across calls by a retaining session only.

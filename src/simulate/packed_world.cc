@@ -1,6 +1,7 @@
 #include "simulate/packed_world.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,43 @@ std::size_t NumPairs(int num_items) {
 std::size_t WorldsInChunk(int num_worlds, std::size_t chunks, std::size_t c) {
   if (c >= static_cast<std::size_t>(num_worlds)) return 0;
   return (static_cast<std::size_t>(num_worlds) - c + chunks - 1) / chunks;
+}
+
+/// World of lane `l` of block `b` of chunk `c` (the chunk stride).
+int WorldOfLane(std::size_t chunks, std::size_t c, std::size_t b, int l) {
+  return static_cast<int>(
+      c + (b * kPackedLanes + static_cast<std::size_t>(l)) * chunks);
+}
+
+/// Edge seeds of the lanes of block `b` of chunk `c`.
+std::array<uint64_t, kPackedLanes> LaneSeeds(uint64_t seed,
+                                             std::size_t chunks,
+                                             std::size_t c, std::size_t b,
+                                             int lane_count) {
+  std::array<uint64_t, kPackedLanes> seeds{};
+  for (int l = 0; l < lane_count; ++l) {
+    seeds[l] = WorldEdgeSeedOf(seed, WorldOfLane(chunks, c, b, l));
+  }
+  return seeds;
+}
+
+/// Sets (*masks)[e] for every edge e >= `first`: bit l is the coin of
+/// edge e in lane l's world, flipped branch-free against the edge's
+/// threshold (CoinLive, simulate/world.h).
+void FlipLanes(std::span<const uint64_t> thresholds,
+               const std::array<uint64_t, kPackedLanes>& lane_seeds,
+               int lane_count, std::size_t first,
+               std::vector<uint64_t>* masks) {
+  for (std::size_t e = first; e < thresholds.size(); ++e) {
+    const uint64_t threshold = thresholds[e];
+    uint64_t mask = 0;
+    for (int l = 0; l < lane_count; ++l) {
+      mask |= uint64_t{CoinLive(lane_seeds[l], static_cast<EdgeId>(e),
+                                threshold)}
+              << l;
+    }
+    (*masks)[e] = mask;
+  }
 }
 
 }  // namespace
@@ -51,7 +89,7 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
 
   const std::size_t pairs = NumPairs(m);
   const std::size_t table_size = std::size_t{1} << m;
-  const auto edges = graph.RawOutEdges();
+  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
   ParallelFor(
       jobs.size(),
       [&](std::size_t j) {
@@ -63,22 +101,17 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
         blk.lane_mask = blk.lane_count == kPackedLanes
                             ? ~uint64_t{0}
                             : (uint64_t{1} << blk.lane_count) - 1;
-        blk.edge_mask.assign(graph.num_edges(), 0);
+        blk.edge_mask.resize(graph.num_edges());
         blk.utility.assign(std::size_t{kPackedLanes} << m, 0.0);
         blk.adopt_plane.assign(pairs * m, 0);
         blk.adopt_changed.assign(pairs, 0);
+        // Live-edge lanes: the same WorldEdgeSeedOf streams and the same
+        // coins as the lazy/snapshot paths.
+        FlipLanes(thresholds, LaneSeeds(seed, chunks, c, b, blk.lane_count),
+                  blk.lane_count, 0, &blk.edge_mask);
         for (int l = 0; l < blk.lane_count; ++l) {
-          const int world = static_cast<int>(
-              c + (b * kPackedLanes + static_cast<std::size_t>(l)) * chunks);
+          const int world = WorldOfLane(chunks, c, b, l);
           const uint64_t bit = uint64_t{1} << l;
-          // Live-edge lane: the same WorldEdgeSeedOf stream and the same
-          // float->double probability promotion as the lazy/snapshot paths.
-          const EdgeWorld ew{WorldEdgeSeedOf(seed, world)};
-          for (std::size_t e = 0; e < edges.size(); ++e) {
-            if (ew.Live(static_cast<EdgeId>(e), edges[e].prob)) {
-              blk.edge_mask[e] |= bit;
-            }
-          }
           Rng rng = WorldNoiseRngOf(seed, world);
           const WorldUtilityTable table(config, rng);
           for (std::size_t s = 0; s < table_size; ++s) {
@@ -124,9 +157,9 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const PackedWorldSet& prior,
     }
   }
 
-  const auto edges = graph.RawOutEdges();
+  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
   const std::size_t clean =
-      std::min<std::size_t>(first_dirty_edge, edges.size());
+      std::min<std::size_t>(first_dirty_edge, thresholds.size());
   ParallelFor(
       jobs.size(),
       [&](std::size_t j) {
@@ -142,21 +175,12 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const PackedWorldSet& prior,
         // Edge coins are keyed by positional EdgeId, so every word below
         // the watermark is identical to the prior's; only the dirty
         // suffix re-flips.
-        blk.edge_mask.assign(edges.size(), 0);
+        blk.edge_mask.resize(thresholds.size());
         std::copy(old.edge_mask.begin(),
                   old.edge_mask.begin() + static_cast<std::ptrdiff_t>(clean),
                   blk.edge_mask.begin());
-        for (int l = 0; l < blk.lane_count; ++l) {
-          const int world = static_cast<int>(
-              c + (b * kPackedLanes + static_cast<std::size_t>(l)) * chunks);
-          const uint64_t bit = uint64_t{1} << l;
-          const EdgeWorld ew{WorldEdgeSeedOf(seed, world)};
-          for (std::size_t e = clean; e < edges.size(); ++e) {
-            if (ew.Live(static_cast<EdgeId>(e), edges[e].prob)) {
-              blk.edge_mask[e] |= bit;
-            }
-          }
-        }
+        FlipLanes(thresholds, LaneSeeds(seed, chunks, c, b, blk.lane_count),
+                  blk.lane_count, clean, &blk.edge_mask);
       },
       num_threads);
 

@@ -47,8 +47,9 @@ struct WorldOutcome {
 };
 
 /// A base allocation's diffusion in one world, recorded by
-/// UicSimulator::Record so that UicSimulator::RunOver can evaluate
-/// base ∪ extra by re-simulating only the extra's live-reach region.
+/// UicSimulator::Record (or derived by UicSimulator::Advance) so that
+/// UicSimulator::RunOver can evaluate base ∪ extra by re-simulating only
+/// the extra's live-reach region.
 struct RecordedWorld {
   /// One live-edge offer received by a touched node: `sender` offered the
   /// items `fresh` (adopted one round earlier) in frontier round `round`.
@@ -65,10 +66,12 @@ struct RecordedWorld {
   /// diffusion of base ∪ extra.
   bool replayable = false;
   /// Touched nodes in ascending order with their final desire and
-  /// adoption sets (index-aligned).
+  /// adoption sets and the utility of the adoption set — +0.0 for a node
+  /// that adopted nothing (index-aligned).
   std::vector<NodeId> nodes;
   std::vector<ItemSet> desire;
   std::vector<ItemSet> adopted;
+  std::vector<double> utility;
   /// Offers received by nodes[i]: offers[offer_begin[i], offer_begin[i+1]).
   std::vector<uint32_t> offer_begin;
   std::vector<Offer> offers;
@@ -77,6 +80,7 @@ struct RecordedWorld {
   std::size_t bytes() const {
     return nodes.capacity() * sizeof(NodeId) +
            (desire.capacity() + adopted.capacity()) * sizeof(ItemSet) +
+           utility.capacity() * sizeof(double) +
            offer_begin.capacity() * sizeof(uint32_t) +
            offers.capacity() * sizeof(Offer);
   }
@@ -121,13 +125,30 @@ class UicSimulator {
   /// put it in R), so by induction over the synchronous rounds it follows
   /// its recorded trajectory exactly. R is re-run from t = 1 with the
   /// recorded offers of senders outside R injected at their rounds, and
-  /// the outcome is re-summed over recorded and re-simulated nodes in
-  /// ascending node order. Runs the plain diffusion instead when the
-  /// record is not replayable, the base has no adopters, or R outgrows
-  /// the base's touched-node count.
+  /// the outcome is the record's, with R's contributions swapped: counts
+  /// lose R's recorded nodes and gain its re-simulated ones, and welfare
+  /// is one ascending pass over the recorded utilities with R's values
+  /// substituted (a non-adopter's +0.0 cannot change a sum that starts at
+  /// +0.0, so this is RunWorld's sum over adopters). Runs the plain
+  /// diffusion instead when the record is not replayable, the base has no
+  /// adopters, or R outgrows the base's touched-node count.
   WorldOutcome RunOver(const RecordedWorld& record, Seeds merged,
                        std::span<const NodeId> extra_nodes,
                        const WorldSnapshot& snapshot);
+
+  /// Writes into `*advanced` the record of base ∪ extra in `snapshot`
+  /// (arguments as for RunOver; `advanced` must not be `record`), equal to
+  /// what Record(merged, snapshot) writes up to the order of each node's
+  /// offers. R is re-run as in RunOver, keeping the offers it makes, and
+  /// spliced into the record: a node outside R is copied with its offers
+  /// — every one from a sender outside R, which keeps its trajectory —
+  /// and a node of R takes its re-run state, its recorded offers from
+  /// senders outside R and the re-run's offers to it, which together are
+  /// every offer it receives. Falls back to Record(merged, snapshot) where
+  /// RunOver falls back to the plain diffusion.
+  void Advance(const RecordedWorld& record, Seeds merged,
+               std::span<const NodeId> extra_nodes,
+               const WorldSnapshot& snapshot, RecordedWorld* advanced);
 
   /// Influence spread special case: number of nodes reachable from `seeds`
   /// via live edges (the sigma(S) of classic IC; used by Lemma 2 style
@@ -150,6 +171,31 @@ class UicSimulator {
 
   /// Outcome over the touched nodes, summed in ascending node order.
   WorldOutcome Aggregate(const WorldUtilityTable& utilities);
+
+  /// Groups raw_offers_ by receiver into (`begin`, `offers`), where
+  /// `receivers` (ascending) holds every receiver: receivers[i]'s offers
+  /// are offers[begin[i], begin[i+1]), in the order they were made.
+  void GroupOffers(std::span<const NodeId> receivers,
+                   std::vector<uint32_t>* begin,
+                   std::vector<RecordedWorld::Offer>* offers);
+
+  /// RunOver's and Advance's region re-run: finds R (ascending in
+  /// region_, with region_pos_[k] the number of recorded nodes below
+  /// region_[k]) and re-simulates it over `record`, keeping the re-run's
+  /// offers in raw_offers_ when `keep_offers`. False, with nothing run,
+  /// when the caller must fall back to a full diffusion.
+  bool ReplayRegion(const RecordedWorld& record, Seeds merged,
+                    std::span<const NodeId> extra_nodes,
+                    const WorldSnapshot& snapshot, bool keep_offers);
+
+  /// The merge walk after ReplayRegion, in ascending node order: recorded
+  /// nodes outside R keep their state, R's nodes take the re-run's.
+  /// Returns the spliced outcome; with `advanced`, also writes the
+  /// spliced record's arrays (R's offers from region_offer_begin_ /
+  /// region_offers_).
+  WorldOutcome Splice(const RecordedWorld& record,
+                      const WorldUtilityTable& utilities,
+                      RecordedWorld* advanced);
 
   /// Ensures node scratch entries are current for this run.
   void Touch(NodeId v);
@@ -186,12 +232,15 @@ class UicSimulator {
   struct RecordHooks;
   struct ReplayHooks;
   std::vector<RawOffer> raw_offers_;
-  std::vector<uint32_t> slot_;          // Record: node -> index in nodes
+  std::vector<uint32_t> slot_;          // GroupOffers: node -> receiver index
   std::vector<uint32_t> region_stamp_;  // RunOver: node in R
   uint32_t region_epoch_ = 0;
   std::vector<NodeId> region_;
+  std::vector<uint32_t> region_pos_;
   std::vector<std::pair<NodeId, ItemSet>> region_seeds_;
   std::vector<Injection> injections_;
+  std::vector<uint32_t> region_offer_begin_;  // Advance: re-run offers
+  std::vector<RecordedWorld::Offer> region_offers_;
 };
 
 }  // namespace cwm

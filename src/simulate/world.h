@@ -31,6 +31,41 @@ struct EdgeWorld {
   }
 };
 
+// Threshold-table coins for materializing worlds. EdgeWorld::Live pays two
+// range branches and a double -> uint64 conversion on every flip; a build
+// that flips every edge of many worlds converts each edge's probability
+// once instead and flips branch-free against the stored integer.
+
+/// Threshold of a coin that is always live (p >= 1). No p < 1 reaches it:
+/// the largest double below 1 maps to 2^64 - 2^11.
+inline constexpr uint64_t kCoinAlwaysLive = ~uint64_t{0};
+
+/// The integer HashCoin::Flip compares against for probability `p`, with
+/// sentinels for EdgeWorld::Live's short-circuits: 0 (no hash is below
+/// it) for p <= 0 and kCoinAlwaysLive for p >= 1.
+inline uint64_t CoinThreshold(double p) {
+  if (p >= 1.0) return kCoinAlwaysLive;
+  if (p <= 0.0) return 0;
+  return static_cast<uint64_t>(p * 18446744073709551616.0);
+}
+
+/// EdgeWorld{seed}.Live(id, p) for threshold == CoinThreshold(p), without
+/// a branch.
+inline bool CoinLive(uint64_t seed, EdgeId id, uint64_t threshold) {
+  return (MixHash(seed, id) < threshold) | (threshold == kCoinAlwaysLive);
+}
+
+/// CoinThreshold of every edge of `graph`, in EdgeId order (the edge's
+/// float probability promoted to double, as EdgeWorld::Live receives it).
+inline std::vector<uint64_t> CoinThresholds(const Graph& graph) {
+  const auto edges = graph.RawOutEdges();
+  std::vector<uint64_t> thresholds(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    thresholds[e] = CoinThreshold(edges[e].prob);
+  }
+  return thresholds;
+}
+
 /// Samples the per-item noise vector of a noise world w2.
 inline std::vector<double> SampleNoiseWorld(const UtilityConfig& config,
                                             Rng& rng) {

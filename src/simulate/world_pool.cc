@@ -11,60 +11,96 @@
 
 namespace cwm {
 
+namespace {
+
+// One snapshot-build scratch per worker ParallelForWorkers can run over
+// `worlds` worlds, all sharing `thresholds`.
+std::vector<WorldSnapshot::Scratch> WorkerScratch(
+    std::span<const uint64_t> thresholds, std::size_t worlds,
+    unsigned num_threads) {
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(
+             num_threads == 0 ? DefaultThreads() : num_threads, worlds));
+  std::vector<WorldSnapshot::Scratch> scratch(workers);
+  for (WorldSnapshot::Scratch& s : scratch) s.thresholds = thresholds;
+  return scratch;
+}
+
+}  // namespace
+
 WorldSnapshot::WorldSnapshot(const Graph& graph, const UtilityConfig& config,
                              uint64_t edge_seed, Rng noise_rng,
-                             std::size_t expected_live)
+                             Scratch* scratch)
     : table_(config, noise_rng) {
-  const EdgeWorld world{edge_seed};
-  const std::size_t n = graph.num_nodes();
-  offsets_.resize(n + 1);
-  offsets_[0] = 0;
-  targets_.reserve(expected_live);
-  for (NodeId u = 0; u < n; ++u) {
-    const auto out = graph.OutEdges(u);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      if (world.Live(graph.OutEdgeId(u, k), out[k].prob)) {
-        targets_.push_back(out[k].to);
-      }
-    }
-    offsets_[u + 1] = static_cast<uint32_t>(targets_.size());
+  std::vector<uint64_t> thresholds;
+  Scratch local;
+  if (scratch == nullptr) {
+    thresholds = CoinThresholds(graph);
+    local.thresholds = thresholds;
+    scratch = &local;
   }
-  targets_.shrink_to_fit();
+  offsets_.resize(graph.num_nodes() + 1);
+  offsets_[0] = 0;
+  const std::size_t live = FlipSuffix(graph, edge_seed, 0, 0, *scratch);
+  targets_.assign(scratch->live.begin(), scratch->live.begin() + live);
 }
 
 WorldSnapshot::WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
                              uint64_t edge_seed, EdgeId first_dirty_edge,
-                             std::size_t expected_live)
+                             Scratch* scratch)
     : table_(prior.table_) {
-  const EdgeWorld world{edge_seed};
+  std::vector<uint64_t> thresholds;
+  Scratch local;
+  if (scratch == nullptr) {
+    thresholds = CoinThresholds(graph);
+    local.thresholds = thresholds;
+    scratch = &local;
+  }
   const std::size_t n = graph.num_nodes();
   const std::span<const uint64_t> offsets = graph.RawOutOffsets();
   offsets_.resize(n + 1);
   offsets_[0] = 0;
-  targets_.reserve(expected_live);
   // Nodes whose whole out-range sits below the dirty watermark have
   // identical (position, endpoint, probability) edges in both graphs, so
   // their coins — keyed by positional EdgeId — cannot differ: copy their
   // live targets from the prior world instead of re-flipping.
   NodeId resume = 0;
   while (resume < n && offsets[resume + 1] <= first_dirty_edge) ++resume;
-  targets_.insert(targets_.end(), prior.targets_.begin(),
-                  prior.targets_.begin() + prior.offsets_[resume]);
+  const uint32_t clean = prior.offsets_[resume];
   std::copy(prior.offsets_.begin() + 1, prior.offsets_.begin() + resume + 1,
             offsets_.begin() + 1);
-  for (NodeId u = resume; u < n; ++u) {
-    const auto out = graph.OutEdges(u);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      if (world.Live(graph.OutEdgeId(u, k), out[k].prob)) {
-        targets_.push_back(out[k].to);
-      }
-    }
-    offsets_[u + 1] = static_cast<uint32_t>(targets_.size());
-  }
-  targets_.shrink_to_fit();
+  const std::size_t live =
+      FlipSuffix(graph, edge_seed, resume, clean, *scratch);
+  targets_.reserve(clean + live);
+  targets_.assign(prior.targets_.begin(), prior.targets_.begin() + clean);
+  targets_.insert(targets_.end(), scratch->live.begin(),
+                  scratch->live.begin() + live);
 }
 
-SnapshotFootprint EstimateSnapshotFootprint(const Graph& graph) {
+std::size_t WorldSnapshot::FlipSuffix(const Graph& graph, uint64_t edge_seed,
+                                      NodeId first, uint32_t live_before,
+                                      Scratch& scratch) {
+  const std::span<const uint64_t> offsets = graph.RawOutOffsets();
+  const auto edges = graph.RawOutEdges();
+  const std::size_t n = graph.num_nodes();
+  const uint64_t begin = offsets[first];
+  if (scratch.live.size() < edges.size() - begin) {
+    scratch.live.resize(edges.size() - begin);
+  }
+  NodeId* live = scratch.live.data();
+  std::size_t count = 0;
+  for (NodeId u = first; u < n; ++u) {
+    for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      live[count] = edges[e].to;
+      count += CoinLive(edge_seed, static_cast<EdgeId>(e),
+                        scratch.thresholds[e]);
+    }
+    offsets_[u + 1] = live_before + static_cast<uint32_t>(count);
+  }
+  return count;
+}
+
+std::size_t EstimateSnapshotBytes(const Graph& graph) {
   // Estimating instead of counting avoids a second full coin-flip pass;
   // the estimate is deterministic, so budget cutoffs derived from it
   // never depend on sampled worlds or threads.
@@ -74,17 +110,14 @@ SnapshotFootprint EstimateSnapshotFootprint(const Graph& graph) {
       expected_live += std::min(1.0f, std::max(0.0f, e.prob));
     }
   }
-  SnapshotFootprint footprint;
-  footprint.live_hint = static_cast<std::size_t>(std::ceil(expected_live));
-  footprint.bytes = (graph.num_nodes() + 1) * sizeof(uint32_t) +
-                    footprint.live_hint * sizeof(NodeId);
-  return footprint;
+  return (graph.num_nodes() + 1) * sizeof(uint32_t) +
+         static_cast<std::size_t>(std::ceil(expected_live)) * sizeof(NodeId);
 }
 
 WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
                      uint64_t seed, int num_worlds,
                      std::size_t budget_bytes, unsigned num_threads,
-                     SnapshotFootprint footprint)
+                     std::size_t per_world_bytes)
     : num_worlds_(num_worlds) {
   // Materialization disabled: skip even the footprint-estimate edge scan.
   if (budget_bytes == 0) return;
@@ -92,23 +125,22 @@ WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
                  {{"worlds", num_worlds},
                   {"budget_bytes", budget_bytes},
                   {"seed", seed}});
-  if (footprint.bytes == 0) footprint = EstimateSnapshotFootprint(graph);
-  const std::size_t live_hint = footprint.live_hint;
-  const std::size_t per_world = footprint.bytes;
-  const std::size_t limit =
-      per_world == 0 ? static_cast<std::size_t>(num_worlds)
-                     : budget_bytes / per_world;
+  if (per_world_bytes == 0) per_world_bytes = EstimateSnapshotBytes(graph);
+  const std::size_t limit = budget_bytes / per_world_bytes;
   const std::size_t prefix =
       std::min<std::size_t>(static_cast<std::size_t>(num_worlds), limit);
 
   snapshots_.resize(prefix);
   if (prefix == 0) return;
-  ParallelFor(
+  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
+  std::vector<WorldSnapshot::Scratch> scratch =
+      WorkerScratch(thresholds, prefix, num_threads);
+  ParallelForWorkers(
       prefix,
-      [&](std::size_t w) {
+      [&](std::size_t worker, std::size_t w) {
         snapshots_[w] = std::make_unique<WorldSnapshot>(
             graph, config, WorldEdgeSeedOf(seed, static_cast<int>(w)),
-            WorldNoiseRngOf(seed, static_cast<int>(w)), live_hint);
+            WorldNoiseRngOf(seed, static_cast<int>(w)), &scratch[worker]);
       },
       num_threads);
 }
@@ -116,7 +148,7 @@ WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
 WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
                      uint64_t seed, int num_worlds,
                      std::size_t budget_bytes, unsigned num_threads,
-                     SnapshotFootprint footprint, const WorldPool& prior,
+                     std::size_t per_world_bytes, const WorldPool& prior,
                      EdgeId first_dirty_edge)
     : num_worlds_(num_worlds) {
   if (budget_bytes == 0) return;
@@ -127,30 +159,29 @@ WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
   // The prefix cutoff is recomputed on the *new* graph exactly as the
   // cold constructor computes it, so patched and cold pools materialize
   // the same worlds; only the per-world construction differs.
-  if (footprint.bytes == 0) footprint = EstimateSnapshotFootprint(graph);
-  const std::size_t live_hint = footprint.live_hint;
-  const std::size_t per_world = footprint.bytes;
-  const std::size_t limit =
-      per_world == 0 ? static_cast<std::size_t>(num_worlds)
-                     : budget_bytes / per_world;
+  if (per_world_bytes == 0) per_world_bytes = EstimateSnapshotBytes(graph);
+  const std::size_t limit = budget_bytes / per_world_bytes;
   const std::size_t prefix =
       std::min<std::size_t>(static_cast<std::size_t>(num_worlds), limit);
 
   snapshots_.resize(prefix);
   if (prefix == 0) return;
-  ParallelFor(
+  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
+  std::vector<WorldSnapshot::Scratch> scratch =
+      WorkerScratch(thresholds, prefix, num_threads);
+  ParallelForWorkers(
       prefix,
-      [&](std::size_t w) {
+      [&](std::size_t worker, std::size_t w) {
         const int world = static_cast<int>(w);
         const WorldSnapshot* prev = prior.Get(world);
         snapshots_[w] =
             prev != nullptr
                 ? std::make_unique<WorldSnapshot>(
                       graph, *prev, WorldEdgeSeedOf(seed, world),
-                      first_dirty_edge, live_hint)
+                      first_dirty_edge, &scratch[worker])
                 : std::make_unique<WorldSnapshot>(
                       graph, config, WorldEdgeSeedOf(seed, world),
-                      WorldNoiseRngOf(seed, world), live_hint);
+                      WorldNoiseRngOf(seed, world), &scratch[worker]);
       },
       num_threads);
 }
@@ -188,9 +219,9 @@ Counter& PoolPatchesCounter() {
 
 }  // namespace
 
-SnapshotFootprint WorldPoolStore::FootprintOf(const Graph& graph) {
+std::size_t WorldPoolStore::FootprintOf(const Graph& graph) {
   auto [it, inserted] = footprints_.try_emplace(&graph);
-  if (inserted) it->second = EstimateSnapshotFootprint(graph);
+  if (inserted) it->second = EstimateSnapshotBytes(graph);
   return it->second;
 }
 
@@ -307,7 +338,7 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
   // Miss: reserve the key and its budget estimate under the lock, build
   // outside it. One footprint estimate per graph feeds the reservation,
   // the eviction target, and the pool's own prefix cutoff.
-  const SnapshotFootprint footprint = FootprintOf(graph);
+  const std::size_t per_world_bytes = FootprintOf(graph);
   // A resident pre-delta pool with this identity turns the build into a
   // prefix-copy patch. Pin it before the eviction scan (the pin also
   // shields it from being evicted out from under the build).
@@ -318,7 +349,7 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
     prior = source->pool;
   }
   const std::size_t desired = std::min(
-      budget_bytes_, footprint.bytes * static_cast<std::size_t>(num_worlds));
+      budget_bytes_, per_world_bytes * static_cast<std::size_t>(num_worlds));
   const std::size_t resident = EvictFor(desired);
   const std::size_t remaining =
       budget_bytes_ > resident ? budget_bytes_ - resident : 0;
@@ -336,11 +367,11 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
       prior != nullptr
           ? std::make_shared<const WorldPool>(graph, config, seed,
                                               num_worlds, remaining,
-                                              num_threads, footprint, *prior,
-                                              watermark)
+                                              num_threads, per_world_bytes,
+                                              *prior, watermark)
           : std::make_shared<const WorldPool>(graph, config, seed,
                                               num_worlds, remaining,
-                                              num_threads, footprint);
+                                              num_threads, per_world_bytes);
 
   lock.lock();
   entry.pool = pool;  // the entry cannot be evicted while !ready

@@ -56,13 +56,23 @@ class PackedWorldSet;
 /// the full node universe, plus the world's fixed-noise utility table.
 class WorldSnapshot {
  public:
+  /// State a snapshot build reuses across worlds of one graph: every
+  /// edge's coin threshold (CoinThresholds, simulate/world.h — computed
+  /// once per pool build and shared read-only by its workers) and one
+  /// worker's compaction buffer. Coins flip branch-free against the
+  /// thresholds; every out-target is stored into `live` and the cursor
+  /// advances past live ones only, so the snapshot copies its targets out
+  /// at their exact count.
+  struct Scratch {
+    std::span<const uint64_t> thresholds;
+    std::vector<NodeId> live;
+  };
+
   /// Materializes world (`edge_seed`, `noise_rng`) of `graph` + `config`.
-  /// `expected_live` pre-reserves the target array (0 = grow on demand);
-  /// the pool passes its per-world estimate so concurrent builds do not
-  /// transiently overshoot the byte budget through geometric growth.
+  /// Without `scratch` the build computes its own thresholds and buffer.
   WorldSnapshot(const Graph& graph, const UtilityConfig& config,
                 uint64_t edge_seed, Rng noise_rng,
-                std::size_t expected_live = 0);
+                Scratch* scratch = nullptr);
 
   /// Incremental rematerialization after a delta: `prior` is the same
   /// world of the graph this one was derived from (delta/overlay.h), and
@@ -75,7 +85,7 @@ class WorldSnapshot {
   /// constructor on `graph` with the same seeds.
   WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
                 uint64_t edge_seed, EdgeId first_dirty_edge,
-                std::size_t expected_live = 0);
+                Scratch* scratch = nullptr);
 
   /// Live out-neighbours of `u`, in canonical (EdgeId) order — the same
   /// order the lazy EdgeWorld path visits survivors in.
@@ -95,6 +105,14 @@ class WorldSnapshot {
   }
 
  private:
+  /// Flips the out-edges of nodes [first, n) against the thresholds and
+  /// sets offsets_[first + 1 ..] from `live_before`, the live targets of
+  /// nodes below `first`. Leaves the suffix's targets in scratch.live and
+  /// returns their count.
+  std::size_t FlipSuffix(const Graph& graph, uint64_t edge_seed,
+                         NodeId first, uint32_t live_before,
+                         Scratch& scratch);
+
   std::vector<uint32_t> offsets_;  // num_nodes + 1
   std::vector<NodeId> targets_;    // live edges, canonical order
   WorldUtilityTable table_;
@@ -107,15 +125,11 @@ struct WorldPoolStats {
   std::size_t bytes = 0; ///< total snapshot footprint
 };
 
-/// Deterministic per-world snapshot footprint estimate: the offset array
-/// is exact, the live edge count is taken at its expectation (sum of edge
-/// probabilities). Shared by WorldPool's prefix cutoff and
+/// Deterministic per-world snapshot footprint estimate, in heap bytes: the
+/// offset array is exact, the live edge count is taken at its expectation
+/// (sum of edge probabilities). Shared by WorldPool's prefix cutoff and
 /// WorldPoolStore's eviction policy so both agree on what a world costs.
-struct SnapshotFootprint {
-  std::size_t live_hint = 0;  ///< ceil(expected live edges per world)
-  std::size_t bytes = 0;      ///< estimated heap bytes per snapshot
-};
-SnapshotFootprint EstimateSnapshotFootprint(const Graph& graph);
+std::size_t EstimateSnapshotBytes(const Graph& graph);
 
 /// The materialized prefix of one estimator's world sequence. Immutable
 /// after construction; safe to share across threads.
@@ -127,11 +141,12 @@ class WorldPool {
   /// is deterministic in the graph and budget alone). Building is
   /// parallelized over `num_threads` workers; snapshot content never
   /// depends on the thread count. A caller that already computed the
-  /// graph's footprint estimate passes it to skip the edge scan
-  /// (bytes == 0 recomputes; the estimate is deterministic either way).
+  /// graph's EstimateSnapshotBytes passes it as `per_world_bytes` to skip
+  /// the edge scan (0 recomputes; the estimate is deterministic either
+  /// way).
   WorldPool(const Graph& graph, const UtilityConfig& config, uint64_t seed,
             int num_worlds, std::size_t budget_bytes, unsigned num_threads,
-            SnapshotFootprint footprint = {});
+            std::size_t per_world_bytes = 0);
 
   /// Incremental rebuild after a delta: worlds materialized by `prior`
   /// (a pool of the pre-delta graph with the same identity) are patched
@@ -141,7 +156,7 @@ class WorldPool {
   /// bit-identical to a cold build — patching only changes wall time.
   WorldPool(const Graph& graph, const UtilityConfig& config, uint64_t seed,
             int num_worlds, std::size_t budget_bytes, unsigned num_threads,
-            SnapshotFootprint footprint, const WorldPool& prior,
+            std::size_t per_world_bytes, const WorldPool& prior,
             EdgeId first_dirty_edge);
 
   /// Snapshot of world `w`, or nullptr when `w` fell outside the budget
@@ -268,9 +283,9 @@ class WorldPoolStore {
   /// bytes fit (or nothing evictable remains); returns resident bytes
   /// after eviction. Caller holds the exclusive lock.
   std::size_t EvictFor(std::size_t desired);
-  /// The graph's snapshot footprint estimate, computed once per graph
-  /// (the O(edges) scan) and memoized. Caller holds the exclusive lock.
-  SnapshotFootprint FootprintOf(const Graph& graph);
+  /// The graph's EstimateSnapshotBytes, computed once per graph (the
+  /// O(edges) scan) and memoized. Caller holds the exclusive lock.
+  std::size_t FootprintOf(const Graph& graph);
 
   /// Delta ancestry recorded by NotifyDelta.
   struct DeltaHint {
@@ -286,7 +301,7 @@ class WorldPoolStore {
   mutable std::shared_mutex mutex_;
   std::atomic<uint64_t> tick_{0};
   std::map<Key, Entry> pools_;
-  std::map<const Graph*, SnapshotFootprint> footprints_;
+  std::map<const Graph*, std::size_t> footprints_;
   std::map<const Graph*, DeltaHint> deltas_;
   std::atomic<uint64_t> pools_built_{0};
   std::atomic<uint64_t> pool_reuses_{0};

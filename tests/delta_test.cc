@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "coin_edge_graph.h"
 #include "api/registry.h"
 #include "delta/delta_log.h"
 #include "delta/overlay.h"
@@ -497,41 +498,59 @@ TEST(DeltaOverlayTest, ChainSidecarRoundTrips) {
 
 // ---- Incremental world materialization ---------------------------------
 
-TEST(DeltaWorldTest, PatchedSnapshotBitIdenticalToColdBuild) {
-  const Graph base = TestGraph();
+void ExpectSnapshotsEqual(const WorldSnapshot& got, const WorldSnapshot& want,
+                          const Graph& graph, int num_items,
+                          const std::string& where) {
+  ASSERT_EQ(got.live_edges(), want.live_edges()) << where;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const auto a = want.LiveOut(u), b = got.LiveOut(u);
+    ASSERT_EQ(a.size(), b.size()) << where << " node " << u;
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  }
+  for (int s = 0; s < (1 << num_items); ++s) {
+    EXPECT_EQ(got.utilities().Utility(static_cast<ItemSet>(s)),
+              want.utilities().Utility(static_cast<ItemSet>(s)));
+  }
+}
+
+// Patched snapshots of `base` after a churn delta equal cold builds of the
+// new graph, standalone and through the pools (whose workers share one
+// coin threshold table).
+void ExpectPatchedSnapshotsEqualCold(const Graph& base, uint64_t churn_seed) {
   const UtilityConfig config = MakeConfigC1();
   const StatusOr<AppliedDelta> applied =
-      ApplyDeltaToGraph(base, GenerateChurnDelta(base, 11, 20));
+      ApplyDeltaToGraph(base, GenerateChurnDelta(base, churn_seed, 20));
   ASSERT_TRUE(applied.ok());
   const Graph& next = applied.value().graph;
   const EdgeId watermark = applied.value().first_dirty_edge;
   ASSERT_LT(watermark, base.num_edges());  // the churn touched something
 
   const uint64_t seed = 0x5EED;
-  for (int w = 0; w < 6; ++w) {
+  const int worlds = 6;
+  const WorldPool prior_pool(base, config, seed, worlds, 64ull << 20, 3);
+  const WorldPool cold_pool(next, config, seed, worlds, 64ull << 20, 3);
+  const WorldPool patched_pool(next, config, seed, worlds, 64ull << 20, 3,
+                               {}, prior_pool, watermark);
+  for (int w = 0; w < worlds; ++w) {
     const WorldSnapshot prior(base, config, WorldEdgeSeedOf(seed, w),
                               WorldNoiseRngOf(seed, w));
     const WorldSnapshot cold(next, config, WorldEdgeSeedOf(seed, w),
                              WorldNoiseRngOf(seed, w));
     const WorldSnapshot patched(next, prior, WorldEdgeSeedOf(seed, w),
                                 watermark);
-    ASSERT_EQ(patched.live_edges(), cold.live_edges()) << "world " << w;
-    for (NodeId u = 0; u < next.num_nodes(); ++u) {
-      const auto a = cold.LiveOut(u), b = patched.LiveOut(u);
-      ASSERT_EQ(a.size(), b.size()) << "world " << w << " node " << u;
-      for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-    }
-    for (int s = 0; s < (1 << config.num_items()); ++s) {
-      EXPECT_EQ(patched.utilities().Utility(static_cast<ItemSet>(s)),
-                cold.utilities().Utility(static_cast<ItemSet>(s)));
-    }
+    const std::string where = "world " + std::to_string(w);
+    ExpectSnapshotsEqual(patched, cold, next, config.num_items(), where);
+    ExpectSnapshotsEqual(*cold_pool.Get(w), cold, next, config.num_items(),
+                         where + " (cold pool)");
+    ExpectSnapshotsEqual(*patched_pool.Get(w), cold, next,
+                         config.num_items(), where + " (patched pool)");
   }
 }
 
-TEST(DeltaWorldTest, PatchedPackedSetBitIdenticalToColdBuild) {
-  const Graph base = TestGraph();
+// Patched packed sets equal cold ones, word for word.
+void ExpectPatchedPackedEqualsCold(const Graph& base, uint64_t churn_seed) {
   const StatusOr<AppliedDelta> applied =
-      ApplyDeltaToGraph(base, GenerateChurnDelta(base, 13, 20));
+      ApplyDeltaToGraph(base, GenerateChurnDelta(base, churn_seed, 20));
   ASSERT_TRUE(applied.ok());
   const Graph& next = applied.value().graph;
   const UtilityConfig config = MakeConfigC1();
@@ -559,7 +578,19 @@ TEST(DeltaWorldTest, PatchedPackedSetBitIdenticalToColdBuild) {
   }
 }
 
-// ---- RR-era invalidation -----------------------------------------------
+TEST(DeltaWorldTest, PatchedSnapshotBitIdenticalToColdBuild) {
+  ExpectPatchedSnapshotsEqualCold(TestGraph(), 11);
+}
+
+TEST(DeltaWorldTest, PatchedPackedSetBitIdenticalToColdBuild) {
+  ExpectPatchedPackedEqualsCold(TestGraph(), 13);
+}
+
+// The same on a graph with p = 0, p = 1 and the other coin edge cases.
+TEST(DeltaWorldTest, CoinEdgeGraphPatchedWorldsBitIdenticalToColdBuilds) {
+  ExpectPatchedSnapshotsEqualCold(CoinEdgeGraph(), 17);
+  ExpectPatchedPackedEqualsCold(CoinEdgeGraph(), 19);
+}
 
 TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {
   const Graph base = TestGraph(300, 1800, 5);

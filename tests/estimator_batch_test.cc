@@ -4,13 +4,15 @@
 // candidate — at 1/2/8 threads, for empty allocations and batch size 1,
 // and whether worlds come from materialized snapshots or the streaming
 // fallback (tiny / zero snapshot budget). The incremental marginals
-// (UicSimulator::Record / RunOver and MarginalSession) are held to the
-// same standard: per world against RunWorld, per gain against the
-// streaming references.
+// (UicSimulator::Record / RunOver / Advance and MarginalSession) are held
+// to the same standard: per world against RunWorld and Record, per gain
+// against the streaming references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exp/configs.h"
@@ -382,6 +384,122 @@ TEST(IncrementalMarginalTest, LateBoundaryOfferAfterRegionFrontierDies) {
   }
 }
 
+/// Pick `step` of a chain of advances from `current`: a new pair, a seed
+/// node of `current` with another item, a pair already in `current`, a
+/// multi-node block, then another new pair.
+Allocation ChainPick(const Allocation& current, int step) {
+  const int m = current.num_items();
+  Allocation pick(m);
+  ItemId seeded = 0;
+  while (seeded < m && current.SeedsOf(seeded).empty()) ++seeded;
+  switch (step) {
+    case 0:
+      pick.Add(17, 0);
+      break;
+    case 1:
+      pick.Add(current.SeedsOf(seeded).front(), (seeded + 1) % m);
+      break;
+    case 2:
+      pick.Add(current.SeedsOf(seeded).back(), seeded);
+      break;
+    case 3:
+      for (NodeId v : {5u, 23u, 61u}) pick.Add(v, 1 % m);
+      break;
+    default:
+      pick.Add(120, m - 1);
+      break;
+  }
+  return pick;
+}
+
+/// Receiver i's offers as a sorted list: the order of one receiver's
+/// offers is not part of a record's contract.
+std::vector<std::tuple<NodeId, uint32_t, ItemSet>> OffersOf(
+    const RecordedWorld& record, std::size_t i) {
+  std::vector<std::tuple<NodeId, uint32_t, ItemSet>> out;
+  for (uint32_t k = record.offer_begin[i]; k < record.offer_begin[i + 1];
+       ++k) {
+    const RecordedWorld::Offer& offer = record.offers[k];
+    out.emplace_back(offer.sender, offer.round, offer.fresh);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void ExpectRecordEqual(const RecordedWorld& got, const RecordedWorld& want,
+                       const std::string& where) {
+  ExpectOutcomeEqual(got.outcome, want.outcome, where);
+  EXPECT_EQ(got.replayable, want.replayable) << where;
+  ASSERT_EQ(got.nodes, want.nodes) << where;
+  EXPECT_EQ(got.desire, want.desire) << where;
+  EXPECT_EQ(got.adopted, want.adopted) << where;
+  ASSERT_EQ(got.utility.size(), want.utility.size()) << where;
+  EXPECT_EQ(std::memcmp(got.utility.data(), want.utility.data(),
+                        got.utility.size() * sizeof(double)),
+            0)
+      << where << ": utilities differ";
+  ASSERT_EQ(got.offer_begin.size(), want.offer_begin.size()) << where;
+  for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+    EXPECT_EQ(OffersOf(got, i), OffersOf(want, i))
+        << where << ": offers to node " << got.nodes[i];
+  }
+}
+
+// World level: advancing a record by a pick gives Record(base ∪ pick) —
+// the same node, desire, adoption and utility arrays, the same outcome
+// (welfare to the bit) and the same offers per receiver — along chains of
+// five advances from every base, and RunOver on each advanced record
+// still equals RunWorld.
+TEST(IncrementalMarginalTest, AdvanceEqualsRecordAlongChains) {
+  std::size_t spliced = 0;
+  for (const Network& net : Networks()) {
+    for (const NamedConfig& nc : Configs()) {
+      const UtilityConfig& c = nc.config;
+      UicSimulator sim(net.graph, c);
+      UicSimulator reference(net.graph, c);
+      RecordedWorld record, advanced, fresh;
+      for (int w = 0; w < 8; ++w) {
+        const WorldSnapshot snapshot(net.graph, c, WorldEdgeSeedOf(6, w),
+                                     WorldNoiseRngOf(6, w));
+        for (const Allocation& base : Bases(c.num_items())) {
+          sim.Record(base.SeededItemsets(), snapshot, &record);
+          Allocation current = base;
+          for (int step = 0; step < 5; ++step) {
+            const Allocation pick = ChainPick(current, step);
+            const Allocation next = Allocation::Union(current, pick);
+            const std::vector<NodeId> nodes = pick.SeedNodes();
+            const std::string where =
+                net.name + "/" + nc.name + " world " + std::to_string(w) +
+                " base " + base.ToString() + " step " +
+                std::to_string(step) + " pick " + pick.ToString();
+            if (record.outcome.adopting_nodes > 0 &&
+                ReachSize(snapshot, net.graph.num_nodes(), nodes) <=
+                    record.nodes.size()) {
+              ++spliced;
+            }
+            sim.Advance(record, next.SeededItemsets(), nodes, snapshot,
+                        &advanced);
+            reference.Record(next.SeededItemsets(), snapshot, &fresh);
+            ExpectRecordEqual(advanced, fresh, where);
+            for (const Allocation& extra : Extras(next)) {
+              const Allocation merged = Allocation::Union(next, extra);
+              ExpectOutcomeEqual(
+                  sim.RunOver(advanced, merged.SeededItemsets(),
+                              extra.SeedNodes(), snapshot),
+                  reference.RunWorld(merged, snapshot),
+                  where + " extra " + extra.ToString());
+            }
+            std::swap(record, advanced);
+            current = next;
+          }
+        }
+      }
+    }
+  }
+  // The chains must exercise the splice, not only the fallback.
+  EXPECT_GT(spliced, 500u);
+}
+
 class MarginalSessionTest : public ::testing::TestWithParam<unsigned> {};
 
 // Gain level: session gains (retained records, reused across calls) and
@@ -389,7 +507,7 @@ class MarginalSessionTest : public ::testing::TestWithParam<unsigned> {};
 // a full snapshot budget and with one covering only some worlds.
 TEST_P(MarginalSessionTest, GainsBitEqualStreaming) {
   for (const Network& net : Networks()) {
-    const std::size_t per_world = EstimateSnapshotFootprint(net.graph).bytes;
+    const std::size_t per_world = EstimateSnapshotBytes(net.graph);
     for (const NamedConfig& nc : Configs()) {
       const UtilityConfig& c = nc.config;
       for (const std::size_t budget :
@@ -434,8 +552,63 @@ TEST_P(MarginalSessionTest, GainsBitEqualStreaming) {
   }
 }
 
+// Gain level after advancing: gains after 1, 2 and 3 Advance calls, and
+// after two picks left pending for a single gain, equal the streaming
+// references against the grown base to the bit — with a full snapshot
+// budget and with one covering only some worlds.
+TEST_P(MarginalSessionTest, AdvancedGainsBitEqualStreaming) {
+  for (const Network& net : Networks()) {
+    const std::size_t per_world = EstimateSnapshotBytes(net.graph);
+    for (const NamedConfig& nc : Configs()) {
+      const UtilityConfig& c = nc.config;
+      const auto options = [&](std::size_t budget) {
+        return EstimatorOptions{.num_worlds = 33,
+                                .seed = 72,
+                                .num_threads = GetParam(),
+                                .snapshot_budget_bytes = budget,
+                                .packed_kernel = false};
+      };
+      const WelfareEstimator full(net.graph, c, options(256ull << 20));
+      const WelfareEstimator partial(net.graph, c, options(per_world * 10));
+      for (const Allocation& base : Bases(c.num_items())) {
+        MarginalSession sessions[] = {full.Marginals(base),
+                                      partial.Marginals(base)};
+        Allocation current = base;
+        int step = 0;
+        // Advances before each check: 0, 1, 1, 1, then 2 pending.
+        for (const int advances : {0, 1, 1, 1, 2}) {
+          for (int a = 0; a < advances; ++a, ++step) {
+            const Allocation pick = ChainPick(current, step);
+            for (MarginalSession& session : sessions) session.Advance(pick);
+            current = Allocation::Union(current, pick);
+          }
+          for (const Allocation& extra : Extras(current)) {
+            // Streaming results do not depend on the snapshot budget.
+            const double welfare = full.MarginalWelfare(current, extra);
+            const double exposure =
+                full.MarginalBalancedExposure(current, extra);
+            for (int b = 0; b < 2; ++b) {
+              const std::string where =
+                  net.name + "/" + nc.name +
+                  (b == 0 ? " full" : " partial") + " budget, base " +
+                  current.ToString() + " extra " + extra.ToString();
+              EXPECT_EQ(sessions[b].Welfare(extra), welfare) << where;
+              EXPECT_EQ(sessions[b].BalancedExposure(extra), exposure)
+                  << where;
+            }
+          }
+        }
+      }
+      const int snapshotted = partial.snapshot_stats().snapshotted;
+      EXPECT_GT(snapshotted, 0);
+      EXPECT_LT(snapshotted, 33);
+    }
+  }
+}
+
 // With the packed kernel engaged (strong ties, enough worlds) a session
-// takes the packed batch; its gains still equal the streaming references.
+// takes the packed batch; its gains still equal the streaming references,
+// before and after advancing.
 TEST_P(MarginalSessionTest, PackedEstimatorSessionBitEqualsStreaming) {
   const Graph g = WithConstantProb(ErdosRenyi(150, 750, 11), 0.5);
   const UtilityConfig c = MakeConfigC1();
@@ -443,10 +616,17 @@ TEST_P(MarginalSessionTest, PackedEstimatorSessionBitEqualsStreaming) {
       g, c, {.num_worlds = 64, .seed = 8, .num_threads = GetParam()});
   for (const Allocation& base : Bases(c.num_items())) {
     MarginalSession session = est.Marginals(base);
-    for (const Allocation& extra : Extras(base)) {
-      EXPECT_EQ(session.Welfare(extra), est.MarginalWelfare(base, extra));
-      EXPECT_EQ(session.BalancedExposure(extra),
-                est.MarginalBalancedExposure(base, extra));
+    Allocation current = base;
+    for (int step = 0; step < 3; ++step) {
+      for (const Allocation& extra : Extras(current)) {
+        EXPECT_EQ(session.Welfare(extra),
+                  est.MarginalWelfare(current, extra));
+        EXPECT_EQ(session.BalancedExposure(extra),
+                  est.MarginalBalancedExposure(current, extra));
+      }
+      const Allocation pick = ChainPick(current, step);
+      session.Advance(pick);
+      current = Allocation::Union(current, pick);
     }
   }
   EXPECT_EQ(est.snapshot_stats().snapshotted, 0);  // never left packing

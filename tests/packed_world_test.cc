@@ -4,7 +4,8 @@
 // estimator's packed batch paths must be bit-identical to the scalar
 // snapshot/streaming paths — at 1/2/8 threads, across full and partial
 // lane blocks (worlds 1/63/64/65/1000), for empty allocations, under the
-// zero-budget fallback, and with the wide (AVX2-dispatched) arm on or off.
+// zero-budget fallback, with the wide (AVX2-dispatched) arm on or off,
+// and on a graph with every edge-coin edge case (tests/coin_edge_graph.h).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "coin_edge_graph.h"
 #include "exp/configs.h"
 #include "graph/graph_builder.h"
 #include "model/allocation.h"
@@ -216,6 +218,59 @@ TEST(PackedWorldTest, WideArmBitEqualsNarrowArm) {
   }
   // Informational only — results above hold either way.
   (void)PackedAvx2Active();
+}
+
+// Packed vs scalar on the coin edge-case graph: every lane's edge mask
+// holds exactly EdgeWorld::Live's coins for its world (bits past the
+// block's lanes stay clear), and the packed batches equal the scalar ones.
+TEST(PackedWorldTest, CoinEdgeGraphBitEqualsScalar) {
+  const Graph g = CoinEdgeGraph();
+  const UtilityConfig c = MakeConfigC5();
+  const uint64_t seed = 0xC0DE;
+  const int num_worlds = 130;
+  const std::size_t chunks = 2;
+  const PackedWorldSet set(g, c, seed, num_worlds, chunks,
+                           /*num_threads=*/2);
+  const auto edges = g.RawOutEdges();
+  for (std::size_t ch = 0; ch < chunks; ++ch) {
+    const auto blocks = set.ChunkBlocks(ch);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      const PackedWorldSet::Block& block = blocks[b];
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        ASSERT_EQ(block.edge_mask[e] & ~block.lane_mask, 0u);
+        for (int l = 0; l < block.lane_count; ++l) {
+          const int w = static_cast<int>(
+              ch + (b * kPackedLanes + static_cast<std::size_t>(l)) *
+                       chunks);
+          const EdgeWorld world{WorldEdgeSeedOf(seed, w)};
+          ASSERT_EQ((block.edge_mask[e] >> l) & 1u,
+                    world.Live(static_cast<EdgeId>(e), edges[e].prob) ? 1u
+                                                                      : 0u)
+              << "world " << w << " edge " << e;
+        }
+      }
+    }
+  }
+
+  const std::vector<Allocation> candidates = Candidates(c.num_items());
+  const WelfareEstimator packed(g, c, PackedOpts(num_worlds, 2, seed));
+  const WelfareEstimator scalar(g, c, ScalarOpts(num_worlds, 2, seed));
+  const std::vector<WelfareStats> got = packed.StatsBatch(candidates);
+  const std::vector<WelfareStats> want = scalar.StatsBatch(candidates);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    ExpectStatsBitEqual(got[j], want[j]);
+  }
+  Allocation base(c.num_items());
+  base.Add(9, 0);
+  const std::vector<double> gains =
+      packed.MarginalWelfareBatch(base, candidates);
+  const std::vector<double> scalar_gains =
+      scalar.MarginalWelfareBatch(base, candidates);
+  for (std::size_t j = 0; j < gains.size(); ++j) {
+    EXPECT_EQ(gains[j], scalar_gains[j]) << "extra " << j;
+  }
+  EXPECT_EQ(packed.snapshot_stats().snapshotted, 0);
 }
 
 TEST(PackedWorldTest, ZeroBudgetFallsBackToScalarPath) {

@@ -1,17 +1,24 @@
 // Tests for the UIC diffusion engine and Monte-Carlo estimators, including
 // exact replays of the paper's Theorem 1 counterexamples and the §5.2
 // SeqGRD-vs-MaxGRD example (both have deterministic graphs and no noise,
-// so simulated welfare must match the paper's arithmetic exactly).
+// so simulated welfare must match the paper's arithmetic exactly), and
+// the threshold-table coins materialized worlds flip against the
+// streaming EdgeWorld coins.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "coin_edge_graph.h"
 #include "exp/configs.h"
 #include "graph/graph_builder.h"
 #include "model/allocation.h"
 #include "simulate/estimator.h"
 #include "simulate/uic_simulator.h"
 #include "simulate/world.h"
+#include "simulate/world_pool.h"
 
 namespace cwm {
 namespace {
@@ -35,6 +42,90 @@ TEST(EdgeWorldTest, DeterministicCoins) {
   }
   EXPECT_TRUE(w.Live(0, 1.0));
   EXPECT_FALSE(w.Live(0, 0.0));
+}
+
+// The threshold-table coin (CoinThreshold + CoinLive) that materialized
+// worlds flip is EdgeWorld::Live at every probability edge case, over
+// 12,800 (seed, edge) pairs each.
+TEST(EdgeWorldTest, ThresholdCoinsEqualLive) {
+  EXPECT_EQ(CoinThreshold(0.0), 0u);
+  EXPECT_EQ(CoinThreshold(1.0), kCoinAlwaysLive);
+  EXPECT_LT(CoinThreshold(std::nextafter(1.0, 0.0)), kCoinAlwaysLive);
+  for (const float p : CoinEdgeProbabilities()) {
+    const uint64_t threshold = CoinThreshold(p);
+    int live = 0;
+    for (uint64_t s = 0; s < 100; ++s) {
+      const uint64_t seed = MixHash(0xC014, s);
+      const EdgeWorld world{seed};
+      for (EdgeId e = 0; e < 128; ++e) {
+        const bool want = world.Live(e, p);
+        ASSERT_EQ(CoinLive(seed, e, threshold), want)
+            << "p " << p << " seed " << seed << " edge " << e;
+        live += want ? 1 : 0;
+      }
+    }
+    if (p == 1.0f) {
+      EXPECT_EQ(live, 12800);
+    }
+    if (p <= std::numeric_limits<float>::denorm_min()) {
+      EXPECT_EQ(live, 0);  // p * 2^64 truncates to 0 at the smallest float
+    }
+  }
+}
+
+// Snapshot vs streaming on the coin edge-case graph: a pool's snapshots
+// (one threshold table shared by its workers) and a standalone snapshot
+// hold exactly EdgeWorld::Live's live edges, diffusions over them equal
+// the streaming ones, and so do the estimator's batch and streaming stats.
+TEST(WorldSnapshotTest, CoinEdgeGraphSnapshotsEqualStreaming) {
+  const Graph g = CoinEdgeGraph();
+  const UtilityConfig c = MakeConfigC5();
+  const uint64_t seed = 0xC0DE;
+  const int worlds = 9;
+  const WorldPool pool(g, c, seed, worlds, 64ull << 20, /*num_threads=*/3);
+  ASSERT_EQ(pool.stats().snapshotted, worlds);
+  Allocation alloc(c.num_items());
+  for (NodeId v = 0; v < 8; ++v) alloc.Add(v * 19, v % 2);
+  UicSimulator sim(g, c);
+  for (int w = 0; w < worlds; ++w) {
+    const WorldSnapshot standalone(g, c, WorldEdgeSeedOf(seed, w),
+                                   WorldNoiseRngOf(seed, w));
+    const EdgeWorld lazy{WorldEdgeSeedOf(seed, w)};
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      std::vector<NodeId> want;
+      const auto out = g.OutEdges(u);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        if (lazy.Live(g.OutEdgeId(u, k), out[k].prob)) {
+          want.push_back(out[k].to);
+        }
+      }
+      for (const WorldSnapshot* snapshot : {pool.Get(w), &standalone}) {
+        const auto got = snapshot->LiveOut(u);
+        ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+            << "world " << w << " node " << u;
+      }
+    }
+    Rng noise = WorldNoiseRngOf(seed, w);
+    const WorldUtilityTable table(c, noise);
+    const WorldOutcome streamed = sim.RunWorld(alloc, lazy, table);
+    const WorldOutcome snapped = sim.RunWorld(alloc, *pool.Get(w));
+    EXPECT_EQ(std::memcmp(&snapped.welfare, &streamed.welfare,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(snapped.adopters_per_item, streamed.adopters_per_item);
+    EXPECT_EQ(snapped.adopting_nodes, streamed.adopting_nodes);
+  }
+  const WelfareEstimator est(g, c,
+                             {.num_worlds = 40,
+                              .seed = seed,
+                              .num_threads = 2,
+                              .packed_kernel = false});
+  const WelfareStats batched = est.StatsBatch({&alloc, 1})[0];
+  const WelfareStats streamed = est.Stats(alloc);
+  EXPECT_EQ(batched.welfare, streamed.welfare);
+  EXPECT_EQ(batched.adopters_per_item, streamed.adopters_per_item);
+  EXPECT_EQ(batched.adopting_nodes, streamed.adopting_nodes);
+  EXPECT_EQ(est.snapshot_stats().snapshotted, 40);
 }
 
 TEST(UicSimulatorTest, SingleItemFullChainAdoption) {
