@@ -18,6 +18,13 @@ not just the first). Serve transport sites use `1*error`: an unlimited
 accept/send fault would starve the socket forever by design, which is a
 liveness property the server cannot (and should not) paper over.
 
+`store.delta.validate` guards opening a `.cwd` delta log, which no sweep
+does. Its case drives `cwm_data gen-delta` + `cwm_data patch` (the
+`cwm_data` binary beside `cwm_run`) and asserts the site's own contract:
+the armed patch exits non-zero with a clean status message and no
+signal, writes no output graph and leaves the base graph byte-identical,
+and the healthy patch succeeds.
+
 Usage:
   check_fault_injection.py ./build/cwm_run ./build/cwm_serve
       [--scenario smoke-tiny]
@@ -99,6 +106,57 @@ def check_store_site(cwm_run, scenario, healthy, site, workdir):
             f"silently absorbed or the site never fired")
     print(f"ok  {site}: byte-identical, "
           f"degraded events={seen.get('store.degraded.events', 0)}")
+
+
+def run_data(cwm_data, args, failpoints=None):
+    env = clean_env()
+    if failpoints:
+        env["CWM_FAILPOINTS"] = failpoints
+    return subprocess.run([cwm_data, *map(str, args)], env=env,
+                          capture_output=True, text=True)
+
+
+def check_delta_site(cwm_data, site, workdir):
+    """An armed `.cwd` open rejects the delta; the base graph survives."""
+    edges = workdir / "delta_base.txt"
+    edges.write_text("".join(f"{u} {(u * 7 + k) % 80} 0.2\n"
+                             for u in range(80) for k in (1, 3, 5)))
+    base = workdir / "delta_base.cwg"
+    log = workdir / "delta.cwd"
+    out = workdir / "delta_out.cwg"
+    for args in (["import", edges, "--out", base],
+                 ["gen-delta", base, "--out", log, "--edits", 12,
+                  "--seed", 3]):
+        proc = run_data(cwm_data, args)
+        if proc.returncode != 0:
+            raise SystemExit(f"FAIL: {site}: setup `cwm_data {args[0]}` "
+                             f"exited {proc.returncode}\n{proc.stderr}")
+    base_bytes = base.read_bytes()
+
+    proc = run_data(cwm_data, ["patch", base, "--delta", log, "--out", out],
+                    failpoints=f"{site}=error")
+    armed_exit = proc.returncode
+    if proc.returncode <= 0:
+        how = (f"died of signal {-proc.returncode}" if proc.returncode < 0
+               else "succeeded")
+        raise SystemExit(f"FAIL: {site}: armed patch {how}; it must exit "
+                         f"non-zero with a status\n{proc.stderr}")
+    if f"failpoint '{site}'" not in proc.stderr:
+        raise SystemExit(f"FAIL: {site}: armed patch gave no clean status "
+                         f"message\n{proc.stderr}")
+    written = [p.name for p in workdir.iterdir()
+               if p.name.startswith(out.name)]
+    if written:
+        raise SystemExit(f"FAIL: {site}: rejected patch wrote {written}")
+    if base.read_bytes() != base_bytes:
+        raise SystemExit(f"FAIL: {site}: the base graph changed")
+
+    proc = run_data(cwm_data, ["patch", base, "--delta", log, "--out", out])
+    if proc.returncode != 0 or not out.exists():
+        raise SystemExit(f"FAIL: {site}: healthy patch failed "
+                         f"(exit {proc.returncode})\n{proc.stderr}")
+    print(f"ok  {site}: patch rejected cleanly (exit {armed_exit}), "
+          f"base untouched, healthy patch applies")
 
 
 def serve_config(scenario):
@@ -223,8 +281,12 @@ def main():
             raise SystemExit(
                 "FAIL: healthy baseline already counts degraded events")
         for site in store_sites:
-            check_store_site(args.cwm_run, args.scenario, healthy, site,
-                             workdir)
+            if site == "store.delta.validate":  # no sweep opens a .cwd
+                check_delta_site(Path(args.cwm_run).with_name("cwm_data"),
+                                 site, workdir)
+            else:
+                check_store_site(args.cwm_run, args.scenario, healthy, site,
+                                 workdir)
 
         config = serve_config(args.scenario)
         oracle = oneshot_oracle(args.cwm_serve, config)

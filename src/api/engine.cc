@@ -256,6 +256,11 @@ Status Engine::Allocate(AllocateRequest request,
     result->stats =
         evaluator.StatsBatch(std::span<const Allocation>(&deployed, 1))[0];
     result->evaluate_seconds = evaluate_timer.Seconds();
+    // A deadline that fired during evaluation must not turn into a late
+    // success: same discard point as after allocation.
+    if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
+      return cancelled;
+    }
   }
   result->pool_stats = pool_store_.stats();
   result->phases = phases.times();
@@ -361,6 +366,9 @@ Status Engine::AllocateBatch(AllocateRequest request,
       (*results)[p].stats = stats[p];
     }
     evaluate_seconds = evaluate_timer.Seconds();
+    if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
+      return cancelled;
+    }
   }
 
   const PhaseTimes batch_phases = phases.times();

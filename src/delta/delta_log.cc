@@ -126,7 +126,11 @@ StatusOr<DeltaLog> OpenDeltaFile(const std::string& path) {
   log.base_hash = header.base_hash;
   log.result_hash = header.result_hash;
   log.edits.resize(header.num_edits);
-  std::memcpy(log.edits.data(), payload, header.payload_bytes);
+  // An empty log has no buffer: memcpy's pointers must be non-null even
+  // for a zero-byte copy.
+  if (header.payload_bytes > 0) {
+    std::memcpy(log.edits.data(), payload, header.payload_bytes);
+  }
   if (Status s = CheckLog(log, path); !s.ok()) return s;
   return log;
 }

@@ -139,9 +139,12 @@ ImmResult RunImmDriver(std::size_t num_nodes,
   // and selects over the just-cleared collection: SelectMaxCoverage pads
   // to the full budget with smallest untaken ids, so the result has the
   // shape every caller relies on (size, distinctness, range) at
-  // O(budget) cost.
+  // O(budget) cost. Each era is persisted once, when it is complete: the
+  // search era before Clear() ends it, the final era after its pass.
+  pipeline.PersistEra(rr);
   rr.Clear();
   sample_until(theta_final);
+  pipeline.PersistEra(rr);
   const int total_b = budget_levels.back();
   const GreedySelection sel = SelectMaxCoverage(rr, total_b);
 

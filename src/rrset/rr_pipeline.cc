@@ -142,25 +142,33 @@ void RrPipeline::ExtendTo(RrCollection* rr, std::size_t target) {
 
   next_sample_ += fresh;
   for (const RrShard& shard : shards) rr->Merge(shard);
+}
 
-  // Persist the grown era. Epochs grow geometrically, so rewriting the
-  // whole collection each time costs at most ~2x the final bytes. Never
-  // after a cancellation: skipped chunks mean the collection is not the
-  // canonical prefix its provenance would claim, and storing it would
-  // poison the persistent cache for every later run.
-  if (cache_ != nullptr && !cancelled() && rr->size() > era_stored_) {
-    // ServeFromCache ran earlier in this call and validated that `rr` is
-    // the era's single collection, so era_start_ is its true provenance.
-    const RrProvenance provenance{.graph_hash = graph_hash_,
-                                  .sample_seed = seed_,
-                                  .source_id = source_id_,
-                                  .era_start = era_start_};
-    const Status stored = cache_->StoreRrEra(
-        RrRecipeHash(graph_hash_, source_id_, seed_, era_start_),
-        provenance, *rr);
-    // A failed store only loses the warm start; sampling stays correct.
-    if (stored.ok()) era_stored_ = rr->size();
+void RrPipeline::PersistEra(const RrCollection& rr) {
+  if (cache_ == nullptr) return;
+  if (cancel_ != nullptr && CancelRequested(cancel_)) {
+    cancel_observed_.store(true, std::memory_order_relaxed);
   }
+  // Never after a cancellation: skipped chunks mean the collection may
+  // not be the canonical prefix its provenance would claim, and storing
+  // it would poison the persistent cache for every later run. Nothing
+  // sampled beyond the loaded era means the cache already holds it.
+  if (cancelled() || rr.size() <= era_stored_) return;
+  // Sets beyond era_stored_ were sampled by ExtendTo, whose
+  // ServeFromCache pinned this era to one collection; check that `rr` is
+  // that collection so era_start_ is its true provenance.
+  CWM_CHECK_MSG(era_valid_ && &rr == era_collection_ &&
+                    next_sample_ - rr.size() == era_start_,
+                "PersistEra must be given the current era's collection");
+  const RrProvenance provenance{.graph_hash = graph_hash_,
+                                .sample_seed = seed_,
+                                .source_id = source_id_,
+                                .era_start = era_start_};
+  const Status stored = cache_->StoreRrEra(
+      RrRecipeHash(graph_hash_, source_id_, seed_, era_start_), provenance,
+      rr);
+  // A failed store only loses the warm start; sampling stays correct.
+  if (stored.ok()) era_stored_ = rr.size();
 }
 
 }  // namespace cwm

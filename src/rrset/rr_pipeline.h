@@ -65,20 +65,21 @@ class RrPipeline {
   /// caller asserts that (graph_hash, source_id, seed) uniquely identify
   /// the sample stream this pipeline's factory produces; under that
   /// contract a cache hit is bit-identical to sampling, because sample k
-  /// is a pure function of (seed, k). Stored entries are keyed per era —
-  /// an era starts at construction and at each RrCollection::Clear() —
-  /// and carry the full provenance in their header, so a key collision
-  /// degrades to a miss. Call before the first ExtendTo.
+  /// is a pure function of (seed, k). Entries are keyed per era — an era
+  /// starts at construction and at each RrCollection::Clear() — and carry
+  /// the full provenance in their header, so a key collision degrades to
+  /// a miss. ExtendTo reads a cached era when the era starts; PersistEra
+  /// writes it. Call before the first ExtendTo.
   void BindCache(ArtifactCache* cache, uint64_t graph_hash,
                  uint64_t source_id);
 
   /// Binds a cooperative cancellation flag (obs/cancel.h; not owned, may
   /// be null). ExtendTo polls it per sampling chunk: once it reads true,
   /// workers stop drawing samples, the call returns without reaching its
-  /// target, and nothing further is persisted to a bound cache (a
-  /// partially sampled era must never be stored — it would not be the
-  /// canonical prefix its provenance claims). The flag is only ever read,
-  /// so binding it never changes the samples of an uncancelled run.
+  /// target, and PersistEra stores nothing more (a partially sampled era
+  /// must never be stored — it would not be the canonical prefix its
+  /// provenance claims). The flag is only ever read, so binding it never
+  /// changes the samples of an uncancelled run.
   void BindCancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
   /// True once a bound cancellation flag has been observed set.
@@ -89,8 +90,20 @@ class RrPipeline {
   /// Appends RR sets to `rr` until rr->size() >= target (no-op if it
   /// already is). Deterministic: the k-th sample ever generated by this
   /// pipeline is the same for any thread count, and — when a cache is
-  /// bound — whether it was sampled or served from a cached era.
+  /// bound — whether it was sampled or served from a cached era. Serves
+  /// from a bound cache but never writes to it: an era grows over several
+  /// calls, and storing it after each would rewrite (and fsync) the whole
+  /// collection every time.
   void ExtendTo(RrCollection* rr, std::size_t target);
+
+  /// Persists the current era to the bound cache, once, when the caller
+  /// is done growing it: before the RrCollection::Clear() that ends it,
+  /// and after the last ExtendTo of the final era. `rr` must be the
+  /// collection the era's ExtendTo calls filled. Skipped without a bound
+  /// cache, after a cancellation, and when nothing was sampled beyond
+  /// what the cache already holds (a fully served era). A failed store
+  /// only loses the warm start (the cache degrades, results do not).
+  void PersistEra(const RrCollection& rr);
 
   /// Total samples generated across all ExtendTo calls (the global
   /// counter; keeps advancing over RrCollection::Clear()).
@@ -128,7 +141,7 @@ class RrPipeline {
   uint64_t source_id_ = 0;
   bool era_valid_ = false;
   uint64_t era_start_ = 0;        ///< global index of the era's sample 0
-  std::size_t era_stored_ = 0;    ///< sets already persisted for this era
+  std::size_t era_stored_ = 0;    ///< sets the cache holds for this era
   std::unique_ptr<RrEraData> era_data_;  ///< cached samples being served
   /// The one collection this era's samples land in; provenance is only
   /// sound for a single collection per era (checked, never assumed).

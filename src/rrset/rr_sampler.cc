@@ -30,7 +30,15 @@ bool RrSampler::Visit(NodeId v) {
   return true;
 }
 
-void RrSampler::SampleStandard(Rng& rng, std::vector<NodeId>* out) {
+// The samplers draw from a local copy of the caller's Rng and write it
+// back on every return path. Drawing through the reference, GCC keeps the
+// xoshiro state in memory, loading and storing all four words per in-edge
+// coin; a local whose address never escapes lives in registers. The draws
+// and their order are unchanged, so a caller reusing one Rng across
+// samples sees the same state as if the sampler drew from it directly.
+
+void RrSampler::SampleStandard(Rng& caller_rng, std::vector<NodeId>* out) {
+  Rng rng = caller_rng;
   out->clear();
   ++epoch_;
   const NodeId root = static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
@@ -44,14 +52,20 @@ void RrSampler::SampleStandard(Rng& rng, std::vector<NodeId>* out) {
       out->push_back(e.from);
     }
   }
+  caller_rng = rng;
 }
 
-void RrSampler::SampleMarginal(Rng& rng, const std::vector<char>& blocked,
+void RrSampler::SampleMarginal(Rng& caller_rng,
+                               const std::vector<char>& blocked,
                                std::vector<NodeId>* out) {
+  Rng rng = caller_rng;
   out->clear();
   ++epoch_;
   const NodeId root = static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
-  if (blocked[root]) return;  // zeroed immediately
+  if (blocked[root]) {  // zeroed immediately
+    caller_rng = rng;
+    return;
+  }
   Visit(root);
   out->push_back(root);
   for (std::size_t head = 0; head < out->size(); ++head) {
@@ -62,15 +76,19 @@ void RrSampler::SampleMarginal(Rng& rng, const std::vector<char>& blocked,
       if (blocked[e.from]) {
         // Hitting S_P zeroes the whole sample (Algorithm 3, line 4-5).
         out->clear();
+        caller_rng = rng;
         return;
       }
       out->push_back(e.from);
     }
   }
+  caller_rng = rng;
 }
 
-double RrSampler::SampleWeighted(Rng& rng, const FixedAllocationIndex& fixed,
+double RrSampler::SampleWeighted(Rng& caller_rng,
+                                 const FixedAllocationIndex& fixed,
                                  double wmax_im, std::vector<NodeId>* out) {
+  Rng rng = caller_rng;
   out->clear();
   ++epoch_;
   queue_.clear();
@@ -98,6 +116,7 @@ double RrSampler::SampleWeighted(Rng& rng, const FixedAllocationIndex& fixed,
     }
     level_begin = level_end;
   }
+  caller_rng = rng;
   out->assign(queue_.begin(), queue_.end());
   const double weight = best_hit < 0.0 ? wmax_im : wmax_im - best_hit;
   return std::max(0.0, weight);

@@ -5,6 +5,9 @@
 // (sweep seed, cell coordinates) via MixHash — never from thread identity
 // — and results land in a pre-sized vector indexed by grid position, so a
 // sweep's output is bit-identical at 1 thread and at DefaultThreads().
+// Tasks start longest-first (slow allocators, larger graphs and budgets
+// first; gated rows last), which changes only wall time and the order
+// SweepOptions::on_result sees.
 // Algorithms within one experiment cell (network, config, budget, seed)
 // share one evaluation-world seed, so they are compared on the same
 // possible worlds (the paper's protocol, §6.1.3).

@@ -6,12 +6,24 @@
 
 namespace cwm {
 
+namespace {
+
+// lgamma(3) stores the sign of Γ(x) in the global `signgam`, a data race
+// when concurrent IMM drivers compute their bounds; lgamma_r returns the
+// same value and writes the sign to the caller's int instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBinomial(uint64_t n, uint64_t k) {
   CWM_CHECK(k <= n);
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double NormalPdf(double x) {

@@ -230,6 +230,38 @@ TEST(EngineTest, PreCancelledRequestFailsFastAndCountsPolls) {
   EXPECT_LT(elapsed, 5.0);  // orders of magnitude under the full run
 }
 
+// A deadline that fires while the allocation is being evaluated must
+// still cancel the request: the engine re-checks the flag after
+// evaluation, so a late success is never returned.
+TEST(EngineTest, CancelDuringEvaluationReturnsCancelled) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC1();
+  Engine engine(g, c);
+  for (AlgoKind algo : {AlgoKind::kSeqGrdNm, AlgoKind::kRoundRobin}) {
+    std::atomic<bool> cancel{false};
+    AllocateRequest request = TinyRequest(algo);
+    request.cancel = &cancel;
+    request.progress = [&cancel](std::string_view stage) {
+      if (stage == "evaluate") cancel.store(true);
+    };
+    AllocateResult result;
+    EXPECT_EQ(engine.Allocate(request, &result).code(),
+              Status::Code::kCancelled)
+        << AlgoName(algo);
+
+    cancel.store(false);
+    const std::vector<BudgetVector> points = {{2, 2}, {3, 3}};
+    std::vector<AllocateResult> batch;
+    EXPECT_EQ(engine
+                  .AllocateBatch(request,
+                                 std::span<const BudgetVector>(points),
+                                 &batch)
+                  .code(),
+              Status::Code::kCancelled)
+        << AlgoName(algo);
+  }
+}
+
 TEST(EngineTest, AllocateBatchOfOneIsBitIdenticalToAllocate) {
   const Graph g = TestGraph();
   const UtilityConfig c = MakeConfigC1();

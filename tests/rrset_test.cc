@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "graph/edge_prob.h"
@@ -16,6 +17,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "simulate/estimator.h"
+#include "coin_edge_graph.h"
 
 namespace cwm {
 namespace {
@@ -225,6 +227,161 @@ TEST(RrSamplerTest, WeightedFullWeightWhenUnreachable) {
       EXPECT_DOUBLE_EQ(w, 2.0);  // S_P never reached: full marginal
       EXPECT_EQ(out.size(), 1u);
     }
+  }
+}
+
+/// The three sampler loops as they read when RrSampler drew straight
+/// from the caller's Rng&. RrSampler now draws from a local copy and
+/// writes it back; it must match these member for member, weight for
+/// weight, and leave the caller's Rng in the same state.
+class ReferenceRrSampler {
+ public:
+  explicit ReferenceRrSampler(const Graph& graph)
+      : graph_(graph), visited_(graph.num_nodes(), 0) {}
+
+  void SampleStandard(Rng& rng, std::vector<NodeId>* out) {
+    Begin(out);
+    const NodeId root =
+        static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
+    Visit(root);
+    out->push_back(root);
+    for (std::size_t head = 0; head < out->size(); ++head) {
+      for (const InEdge& e : graph_.InEdges((*out)[head])) {
+        if (!rng.NextBernoulli(e.prob)) continue;
+        if (!Visit(e.from)) continue;
+        out->push_back(e.from);
+      }
+    }
+  }
+
+  void SampleMarginal(Rng& rng, const std::vector<char>& blocked,
+                      std::vector<NodeId>* out) {
+    Begin(out);
+    const NodeId root =
+        static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
+    if (blocked[root]) return;
+    Visit(root);
+    out->push_back(root);
+    for (std::size_t head = 0; head < out->size(); ++head) {
+      for (const InEdge& e : graph_.InEdges((*out)[head])) {
+        if (!rng.NextBernoulli(e.prob)) continue;
+        if (!Visit(e.from)) continue;
+        if (blocked[e.from]) {
+          out->clear();
+          return;
+        }
+        out->push_back(e.from);
+      }
+    }
+  }
+
+  double SampleWeighted(Rng& rng, const FixedAllocationIndex& fixed,
+                        double wmax_im, std::vector<NodeId>* out) {
+    Begin(out);
+    const NodeId root =
+        static_cast<NodeId>(rng.NextBounded(graph_.num_nodes()));
+    Visit(root);
+    out->push_back(root);
+    double best_hit = fixed.is_seed[root] ? fixed.best_value[root] : -1.0;
+    std::size_t level_begin = 0;
+    while (level_begin < out->size() && best_hit < 0.0) {
+      const std::size_t level_end = out->size();
+      for (std::size_t idx = level_begin; idx < level_end; ++idx) {
+        for (const InEdge& e : graph_.InEdges((*out)[idx])) {
+          if (!rng.NextBernoulli(e.prob)) continue;
+          if (!Visit(e.from)) continue;
+          out->push_back(e.from);
+          if (fixed.is_seed[e.from]) {
+            best_hit = std::max(best_hit, fixed.best_value[e.from]);
+          }
+        }
+      }
+      level_begin = level_end;
+    }
+    return std::max(0.0, best_hit < 0.0 ? wmax_im : wmax_im - best_hit);
+  }
+
+ private:
+  void Begin(std::vector<NodeId>* out) {
+    for (NodeId v : touched_) visited_[v] = 0;
+    touched_.clear();
+    out->clear();
+  }
+  bool Visit(NodeId v) {
+    if (visited_[v]) return false;
+    visited_[v] = 1;
+    touched_.push_back(v);
+    return true;
+  }
+
+  const Graph& graph_;
+  std::vector<char> visited_;
+  std::vector<NodeId> touched_;
+};
+
+/// Next draw of a copy: equal iff the two generators' states are equal
+/// (for the purposes of every later draw).
+uint64_t PeekNext(const Rng& rng) {
+  Rng copy = rng;
+  return copy.Next();
+}
+
+TEST(RrSamplerTest, SamplersMatchReferenceLoopsAndAdvanceTheCallersRng) {
+  const Graph wc = WithWeightedCascade(BarabasiAlbert(1500, 4, 51));
+  const Graph p01 = WithConstantProb(ErdosRenyi(800, 80000, 53), 0.01);
+  const Graph coins = CoinEdgeGraph();
+  for (const Graph* g : {&wc, &p01, &coins}) {
+    const std::size_t n = g->num_nodes();
+    std::vector<char> blocked(n, 0);
+    for (std::size_t v = 0; v < n; v += 61) blocked[v] = 1;
+    UtilityConfigBuilder cb(2);
+    cb.SetItemValue(0, 1.0).SetItemValue(1, 0.4);
+    const UtilityConfig c = std::move(cb).Build().value();
+    Allocation sp(2);
+    for (NodeId v = 3; v < n; v += 97) sp.Add(v, 1);
+    const FixedAllocationIndex fixed = FixedAllocationIndex::Build(n, c, sp);
+
+    RrSampler sampler(*g);
+    ReferenceRrSampler reference(*g);
+    std::vector<NodeId> got, want;
+    std::size_t nonempty = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      // One Rng reused across consecutive samples of every flavour, as a
+      // caller looping over samples would: a sampler that did not write
+      // its local copy back would replay the same draws next time.
+      Rng rng(seed), ref_rng(seed);
+      for (int k = 0; k < 12; ++k) {
+        switch (k % 3) {
+          case 0:
+            sampler.SampleStandard(rng, &got);
+            reference.SampleStandard(ref_rng, &want);
+            break;
+          case 1:
+            sampler.SampleMarginal(rng, blocked, &got);
+            reference.SampleMarginal(ref_rng, blocked, &want);
+            break;
+          default: {
+            const double w = sampler.SampleWeighted(rng, fixed, 1.0, &got);
+            const double ref_w =
+                reference.SampleWeighted(ref_rng, fixed, 1.0, &want);
+            ASSERT_EQ(std::bit_cast<uint64_t>(w),
+                      std::bit_cast<uint64_t>(ref_w))
+                << "seed " << seed << " sample " << k;
+          }
+        }
+        ASSERT_EQ(got, want) << "seed " << seed << " sample " << k;
+        ASSERT_EQ(PeekNext(rng), PeekNext(ref_rng))
+            << "seed " << seed << " sample " << k;
+        nonempty += got.empty() ? 0 : 1;
+      }
+      // A fresh generator per sample, as the RR pipeline draws them.
+      Rng fresh(seed ^ 0x5EED), ref_fresh(seed ^ 0x5EED);
+      sampler.SampleMarginal(fresh, blocked, &got);
+      reference.SampleMarginal(ref_fresh, blocked, &want);
+      ASSERT_EQ(got, want) << "fresh seed " << seed;
+      ASSERT_EQ(PeekNext(fresh), PeekNext(ref_fresh));
+    }
+    EXPECT_GT(nonempty, 0u);
   }
 }
 

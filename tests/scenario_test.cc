@@ -251,6 +251,62 @@ TEST(SweepTest, GoldenDeterminismAcrossThreadCounts) {
   EXPECT_GT(ja.str().size(), 0u);
 }
 
+// Tasks start longest-first: gated rows last, slow allocators first,
+// then the larger graph (edges), then the larger total budget, grid index
+// breaking ties. At one thread on_result fires in start order; rows stay
+// in grid order either way.
+TEST(SweepTest, TasksStartLongestFirstAndRowsStayInGridOrder) {
+  ScenarioSpec spec = TinySpec();
+  NetworkSpec small = spec.networks[0];
+  small.num_nodes = 200;
+  small.label = "er-small";
+  NetworkSpec large = spec.networks[0];
+  large.label = "er-large";
+  spec.networks = {small, large};
+  spec.algorithms = {AlgoKind::kSeqGrdNm, AlgoKind::kGreedyWm};
+  spec.budget_points = {{2}, {3}};
+  spec.seeds = {1, 2};
+  spec.sims = 10;
+  spec.eval_sims = 20;
+  spec.slow_gate = SlowGate::kFirstNetwork;  // greedyWM gated on er-large
+
+  std::vector<std::size_t> started;
+  SweepOptions single;
+  single.num_threads = 1;
+  single.on_result = [&started](const TaskResult& row) {
+    started.push_back(row.task_index);
+  };
+  const StatusOr<SweepResult> a = RunSweep(spec, single);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  const std::vector<TaskResult>& rows = a.value().rows;
+  ASSERT_EQ(rows.size(), 16u);
+  ASSERT_GT(rows[8].graph_edges, rows[0].graph_edges);
+
+  // Grid (network, budget, seed, algorithm): 0-7 on er-small, 8-15 on
+  // er-large; even indices SeqGRD-NM, odd greedyWM; budget 3 at 4-7 and
+  // 12-15.
+  const std::vector<std::size_t> want = {
+      5,  7,  1,  3,   // greedyWM (slow) on er-small: budget 3, then 2
+      12, 14, 8,  10,  // SeqGRD-NM on the larger graph: budget 3, then 2
+      4,  6,  0,  2,   // SeqGRD-NM on er-small
+      13, 15, 9,  11,  // gated greedyWM rows last
+  };
+  EXPECT_EQ(started, want);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    EXPECT_EQ(rows[t].task_index, t);
+    EXPECT_EQ(rows[t].skipped, t >= 8 && t % 2 == 1) << rows[t].skip_reason;
+  }
+
+  SweepOptions multi;
+  multi.num_threads = 4;
+  const StatusOr<SweepResult> b = RunSweep(spec, multi);
+  ASSERT_TRUE(b.ok());
+  std::ostringstream ja, jb;
+  WriteJsonLines(a.value(), ja);
+  WriteJsonLines(b.value(), jb);
+  EXPECT_EQ(ja.str(), jb.str());
+}
+
 TEST(SweepTest, SeedChangesResults) {
   ScenarioSpec spec = TinySpec();
   spec.seeds = {1};

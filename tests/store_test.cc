@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -672,6 +673,54 @@ TEST_F(StoreTest, CachedPrimaPlusMatchesUncached) {
   const ImmResult different = PrimaPlus(g, {3, 7, 12}, {5}, 5, params);
   (void)different;
   EXPECT_GT(cache.value()->stats().rr_misses, 0u);
+}
+
+// Each RR era is written once, when the IMM driver is done with it: after a
+// cold Imm and a cold PrimaPlus run the cache has written exactly the
+// bytes of the .cwr files it holds, so no era was written twice. A warm
+// rerun hits every era, writes nothing and returns bit-identical results.
+TEST_F(StoreTest, ColdRunsWriteEachRrEraExactlyOnce) {
+  const Graph g = WithWeightedCascade(BarabasiAlbert(600, 3, 23));
+  StatusOr<std::unique_ptr<ArtifactCache>> opened =
+      ArtifactCache::Open(Path("cache_once"));
+  ASSERT_TRUE(opened.ok());
+  ArtifactCache& cache = *opened.value();
+  ImmParams params;
+  params.seed = 0xE7A;
+  params.cache = &cache;
+  params.graph_hash = GraphContentHash(g);
+  const std::vector<NodeId> prior = {3, 7, 11};
+
+  const ImmResult imm_cold = Imm(g, 10, params);
+  const ImmResult prima_cold = PrimaPlus(g, prior, {3, 5}, 5, params);
+  const CacheStats cold = cache.stats();
+  uint64_t cwr_bytes = 0;
+  std::size_t cwr_files = 0;
+  for (const fs::directory_entry& file :
+       fs::directory_iterator(dir_ / "cache_once" / "rr")) {
+    if (file.path().extension() != ".cwr") continue;
+    cwr_bytes += file.file_size();
+    ++cwr_files;
+  }
+  EXPECT_EQ(cwr_files, 4u);  // a search era and a final era per run
+  EXPECT_EQ(cold.rr_misses, cwr_files);
+  EXPECT_GT(cwr_bytes, 0u);
+  EXPECT_EQ(cold.bytes_written, cwr_bytes);
+
+  const ImmResult imm_warm = Imm(g, 10, params);
+  const ImmResult prima_warm = PrimaPlus(g, prior, {3, 5}, 5, params);
+  const CacheStats warm = cache.stats();
+  EXPECT_EQ(warm.rr_hits - cold.rr_hits, cwr_files);
+  EXPECT_EQ(warm.rr_misses, cold.rr_misses);
+  EXPECT_EQ(warm.bytes_written, cold.bytes_written);
+  for (const auto& [a, b] : {std::pair(&imm_cold, &imm_warm),
+                             std::pair(&prima_cold, &prima_warm)}) {
+    EXPECT_EQ(a->seeds, b->seeds);
+    EXPECT_EQ(a->rr_count, b->rr_count);
+    EXPECT_EQ(std::bit_cast<uint64_t>(a->coverage_estimate),
+              std::bit_cast<uint64_t>(b->coverage_estimate));
+    EXPECT_EQ(a->prefix_estimates, b->prefix_estimates);
+  }
 }
 
 // End-to-end: a registry scenario swept against a warm cache emits
