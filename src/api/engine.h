@@ -115,9 +115,13 @@ class Engine {
   /// Applies one delta log to the engine's current graph and atomically
   /// swaps the composition in: in-flight Allocate calls finish on the
   /// graph they pinned at entry; calls entering after the swap see the
-  /// new graph. Cached RR eras are re-keyed onto the new graph (dirty
-  /// sets resampled, the rest reused) and the snapshot-pool store is told
-  /// to patch rather than rebuild pools above the dirty-edge watermark.
+  /// new graph. Cached standard RR eras (Imm's, and PRIMA+'s when the
+  /// request had no fixed allocation) are re-keyed onto the new graph in
+  /// parallel, one era per worker (dirty sets resampled, the rest
+  /// reused), so post-delta allocations hit the cache; eras of a
+  /// non-empty fixed allocation are left to a cold resample. The
+  /// snapshot-pool store is told to patch rather than rebuild pools
+  /// above the dirty-edge watermark.
   /// Concurrent ApplyDelta calls serialize in arrival order. On failure
   /// the engine is unchanged. `result` may be null.
   Status ApplyDelta(const DeltaLog& log, ApplyDeltaResult* result = nullptr);

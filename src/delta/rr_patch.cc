@@ -1,5 +1,8 @@
 #include "delta/rr_patch.h"
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -9,8 +12,66 @@
 #include "rrset/rr_sampler.h"
 #include "store/rr_store.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace cwm {
+
+namespace {
+
+/// One old-graph standard era selected for patching.
+struct EraToPatch {
+  std::string path;
+  RrProvenance expect;
+};
+
+/// Patches one era: opens it, reuses its clean sets, resamples the dirty
+/// ones on `sampler`'s graph and stores the result under `new_hash`.
+/// Returns this era's share of the stats (eras_scanned is the caller's).
+RrPatchStats PatchEra(ArtifactCache& cache, const EraToPatch& era,
+                      uint64_t new_hash, std::size_t n,
+                      const std::vector<char>& dirty, RrSampler& sampler,
+                      std::vector<NodeId>& scratch) {
+  RrPatchStats stats;
+  StatusOr<RrEraData> opened = OpenRrFile(era.path, &era.expect, n);
+  if (!opened.ok()) return stats;  // the pipeline will resample it cold
+  const RrEraData& data = opened.value();
+
+  RrCollection patched(n);
+  for (std::size_t k = 0; k < data.num_sets(); ++k) {
+    const std::span<const NodeId> members = data.members.subspan(
+        data.offsets[k], data.offsets[k + 1] - data.offsets[k]);
+    bool touched = false;
+    for (NodeId v : members) {
+      if (dirty[v]) {
+        touched = true;
+        break;
+      }
+    }
+    if (!touched) {
+      // Clean of every dirty vertex: resampling on the new graph would
+      // walk byte-identical in-edge lists from the same root stream, so
+      // serve the cached members verbatim.
+      patched.Add(members, data.weights[k]);
+      ++stats.sets_reused;
+      continue;
+    }
+    Rng rng(MixHash(era.expect.sample_seed,
+                    kRrSampleTag ^ (era.expect.era_start + k)));
+    sampler.SampleStandard(rng, &scratch);
+    patched.Add(scratch, 1.0);
+    ++stats.sets_resampled;
+  }
+
+  RrProvenance fresh = era.expect;
+  fresh.graph_hash = new_hash;
+  const uint64_t recipe = RrRecipeHash(new_hash, fresh.source_id,
+                                       fresh.sample_seed, fresh.era_start);
+  // A failed store loses only this era's warm start.
+  if (cache.StoreRrEra(recipe, fresh, patched).ok()) stats.eras_patched = 1;
+  return stats;
+}
+
+}  // namespace
 
 RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
                                uint64_t old_hash, uint64_t new_hash,
@@ -25,13 +86,10 @@ RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
   RrPatchStats stats;
   if (old_hash == new_hash) return stats;
   const std::size_t n = new_graph.num_nodes();
-  std::vector<bool> dirty(n, false);
-  for (NodeId v : dirty_nodes) {
-    if (v < n) dirty[v] = true;
-  }
 
-  RrSampler sampler(new_graph);
-  std::vector<NodeId> scratch;
+  // One pass over the listing reads headers only and selects the old
+  // graph's standard eras.
+  std::vector<EraToPatch> eras;
   for (const CacheEntry& entry : cache.List()) {
     if (entry.is_graph) continue;
     StatusOr<RrFileHeader> header = ReadRrHeader(entry.path);
@@ -41,49 +99,43 @@ RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
         header.value().num_nodes != n) {
       continue;
     }
-    ++stats.eras_scanned;
     RrProvenance expect;
     expect.graph_hash = old_hash;
     expect.sample_seed = header.value().sample_seed;
     expect.source_id = header.value().source_id;
     expect.era_start = header.value().era_start;
-    StatusOr<RrEraData> era = OpenRrFile(entry.path, &expect, n);
-    if (!era.ok()) continue;
-    const RrEraData& data = era.value();
+    eras.push_back({entry.path, expect});
+  }
+  stats.eras_scanned = eras.size();
+  if (eras.empty()) return stats;
 
-    RrCollection patched(n);
-    for (std::size_t k = 0; k < data.num_sets(); ++k) {
-      const std::span<const NodeId> members = data.members.subspan(
-          data.offsets[k], data.offsets[k + 1] - data.offsets[k]);
-      bool touched = false;
-      for (NodeId v : members) {
-        if (dirty[v]) {
-          touched = true;
-          break;
+  std::vector<char> dirty(n, 0);
+  for (NodeId v : dirty_nodes) {
+    if (v < n) dirty[v] = 1;
+  }
+
+  // One era per task. Eras are independent files and every set's stream
+  // is pinned by (seed, index), so the patched bytes do not depend on
+  // which worker runs which era; each worker owns a sampler and scratch.
+  const unsigned threads = static_cast<unsigned>(
+      std::min<std::size_t>(DefaultThreads(), eras.size()));
+  std::vector<std::unique_ptr<RrSampler>> samplers(threads);
+  std::vector<std::vector<NodeId>> scratch(threads);
+  std::vector<RrPatchStats> per_era(eras.size());
+  ParallelForWorkers(
+      eras.size(),
+      [&](std::size_t worker, std::size_t i) {
+        if (samplers[worker] == nullptr) {
+          samplers[worker] = std::make_unique<RrSampler>(new_graph);
         }
-      }
-      if (!touched) {
-        // Clean of every dirty vertex: resampling on the new graph would
-        // walk byte-identical in-edge lists from the same root stream, so
-        // serve the cached members verbatim.
-        patched.Add(members, data.weights[k]);
-        ++stats.sets_reused;
-        continue;
-      }
-      Rng rng(MixHash(expect.sample_seed,
-                      kRrSampleTag ^ (expect.era_start + k)));
-      sampler.SampleStandard(rng, &scratch);
-      patched.Add(scratch, 1.0);
-      ++stats.sets_resampled;
-    }
-
-    RrProvenance fresh = expect;
-    fresh.graph_hash = new_hash;
-    const uint64_t recipe = RrRecipeHash(new_hash, fresh.source_id,
-                                         fresh.sample_seed, fresh.era_start);
-    if (cache.StoreRrEra(recipe, fresh, patched).ok()) {
-      ++stats.eras_patched;
-    }
+        per_era[i] = PatchEra(cache, eras[i], new_hash, n, dirty,
+                              *samplers[worker], scratch[worker]);
+      },
+      threads);
+  for (const RrPatchStats& era : per_era) {
+    stats.eras_patched += era.eras_patched;
+    stats.sets_reused += era.sets_reused;
+    stats.sets_resampled += era.sets_resampled;
   }
 
   eras_patched.Add(stats.eras_patched);

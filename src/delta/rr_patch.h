@@ -15,9 +15,19 @@
 //
 // The repaired era is stored under the new graph's recipe hash, so the
 // next pipeline run over the new graph finds a warm era and reports a
-// cache hit; the old-keyed entry becomes a Gc orphan. Only standard-IMM
-// eras (kStandardRrSourceId) are patched — marginal-source eras embed
-// allocation state and are simply left to age out.
+// cache hit; the old-keyed entry becomes a Gc orphan.
+//
+// Which eras are patched: standard eras (kStandardRrSourceId). They are
+// Imm()'s eras and PRIMA+'s eras with an empty S_P (SeqGRD, SeqGRD-NM,
+// MaxGRD and greedyWM's candidate pool without a fixed allocation),
+// because that marginal sampler blocks nothing and draws the standard
+// sets. Eras of a non-empty S_P keep their marginal id and are left to
+// age out: a zeroed set does not record which in-edge lists its BFS
+// read, so it cannot be checked against the dirty vertices.
+//
+// Eras are patched in parallel, one era per worker (DefaultThreads(),
+// capped by the era count), each with its own sampler. An era that fails
+// to open or store loses only its own warm start.
 //
 // Counters: delta.eras_patched, delta.sets_reused, delta.sets_resampled
 // (the acceptance "invalidation counter": nonzero resamples alongside
@@ -45,10 +55,10 @@ struct RrPatchStats {
 /// Re-keys every cached standard RR era of the graph `old_hash` onto
 /// `new_graph` (content hash `new_hash`), reusing sets clean of
 /// `dirty_nodes` (sorted, unique) and resampling the rest from their
-/// pinned per-sample streams. No-op when old_hash == new_hash. Best
-/// effort: an era that fails to open is skipped (the pipeline will
-/// resample it cold), and store failures follow the cache's degraded-mode
-/// contract.
+/// pinned per-sample streams. Eras are patched concurrently; the stats
+/// are the per-era sums. No-op when old_hash == new_hash. Best effort:
+/// an era that fails to open is skipped (the pipeline will resample it
+/// cold), and store failures follow the cache's degraded-mode contract.
 RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
                                uint64_t old_hash, uint64_t new_hash,
                                std::span<const NodeId> dirty_nodes);

@@ -50,7 +50,11 @@ uint64_t MarginalRrSourceId(std::vector<NodeId> prior_seeds) {
   std::sort(prior_seeds.begin(), prior_seeds.end());
   prior_seeds.erase(std::unique(prior_seeds.begin(), prior_seeds.end()),
                     prior_seeds.end());
-  // Tagged so an empty blocked set still differs from the standard source.
+  // Algorithm 3 with S_P = {} blocks nothing, so SampleMarginal makes
+  // exactly SampleStandard's draws. One stream gets one id, and the cache
+  // contract holds: (graph_hash, source_id, seed) still identifies the
+  // sample stream.
+  if (prior_seeds.empty()) return kStandardRrSourceId;
   uint64_t h = 0x4D72675252ull;  // "MrgRR"
   const uint64_t count = prior_seeds.size();
   h = Fnv1a64(&count, sizeof(count), h);

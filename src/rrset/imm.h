@@ -80,12 +80,17 @@ struct ImmResult {
   std::size_t rr_count = 0;
 };
 
-/// Stable source id of the standard (unblocked) RR sampler; marginal
-/// samplers derive theirs from the blocked set (MarginalRrSourceId).
+/// Stable source id of the standard (unblocked) RR stream: Imm()'s
+/// sampler, and PRIMA+'s marginal sampler when S_P is empty (it then
+/// blocks nothing and draws the same sets). Eras under this id are the
+/// ones delta/rr_patch.h re-keys onto a post-delta graph.
 inline constexpr uint64_t kStandardRrSourceId = 0x5374645252ull;  // "StdRR"
 
 /// Source id of a marginal sampler blocked on `prior_seeds` (order
-/// independent: the nodes are hashed in sorted order).
+/// independent: the nodes are hashed in sorted order, duplicates once).
+/// An empty set returns kStandardRrSourceId: Algorithm 3 with S_P = {}
+/// is the standard sampler, draw for draw. A non-empty set gets an id of
+/// its own, distinct from the standard one.
 uint64_t MarginalRrSourceId(std::vector<NodeId> prior_seeds);
 
 /// Runs the sampling + selection pipeline of Algorithms 4/6.

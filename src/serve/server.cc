@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -38,6 +39,11 @@ constexpr double kLatencyBounds[] = {0.001, 0.0025, 0.005, 0.01,  0.025,
 // request: cap the reader's buffer so a client streaming garbage
 // without newlines cannot grow server memory unboundedly.
 constexpr std::size_t kMaxLineBytes = 1 << 20;
+
+// Pause between accept() retries while the process is out of
+// descriptors or buffer memory, so the acceptor does not spin while
+// finished connections give theirs back.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
 Counter& RequestsCounter() {
   static Counter& counter =
@@ -234,6 +240,8 @@ class DeadlineWatcher {
 
 // One accepted socket. The write mutex serializes response lines from
 // concurrent workers (responses are in completion order, matched by id).
+// The fd closes with the last reference: the acceptor's entry, dropped
+// once the reader has finished, or a queued job still owing a response.
 struct Connection {
   explicit Connection(int fd) : fd(fd) {}
   ~Connection() { ::close(fd); }
@@ -265,6 +273,9 @@ struct Connection {
 
   const int fd;
   std::mutex write_mutex;
+  /// Set by the reader thread as its last act; the acceptor then joins
+  /// the thread and drops the entry.
+  std::atomic<bool> reader_done{false};
 };
 
 struct Job {
@@ -371,13 +382,46 @@ struct Server::Impl {
           IoErrorsCounter().Add(1);
           continue;
         }
+        // Out of descriptors or memory: the pending connection stays in
+        // the listen backlog. Give back what finished connections hold,
+        // wait briefly and retry instead of abandoning the listener.
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          IoErrorsCounter().Add(1);
+          ReapFinishedConnections();
+          std::this_thread::sleep_for(kAcceptBackoff);
+          continue;
+        }
         return;  // listener shut down
       }
+      ReapFinishedConnections();
       auto conn = std::make_shared<Connection>(fd);
       const std::lock_guard<std::mutex> lock(connections_mutex);
-      connections.emplace_back(
-          conn, std::thread([this, conn] { ReadLoop(conn); }));
+      connections.emplace_back(conn, std::thread([this, conn] {
+                                 ReadLoop(conn);
+                                 conn->reader_done.store(
+                                     true, std::memory_order_release);
+                               }));
     }
+  }
+
+  // Joins the readers that have exited and drops their entries, so a
+  // long-lived server holds descriptors and threads only for open
+  // connections. Called by the acceptor on each pass.
+  void ReapFinishedConnections() {
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(connections_mutex);
+      const auto done = std::partition(
+          connections.begin(), connections.end(), [](const auto& entry) {
+            return !entry.first->reader_done.load(std::memory_order_acquire);
+          });
+      for (auto it = done; it != connections.end(); ++it) {
+        finished.push_back(std::move(it->second));
+      }
+      connections.erase(done, connections.end());
+    }
+    for (std::thread& thread : finished) thread.join();
   }
 
   void ReadLoop(const std::shared_ptr<Connection>& conn) {
@@ -491,9 +535,11 @@ struct Server::Impl {
       shut_down = true;
     }
     // 1. Stop accepting: wake the blocked accept() and join the acceptor.
+    //    The fd closes only after the join, so a retrying acceptor never
+    //    calls accept() on a descriptor number reused elsewhere.
     ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
     if (acceptor.joinable()) acceptor.join();
+    ::close(listen_fd);
     // 2. Unblock every reader (they enqueue what they already read, then
     //    exit on EOF) and join them.
     {

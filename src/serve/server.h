@@ -19,6 +19,12 @@
 //   arrival_time + deadline_ms; the engine's cooperative-cancellation
 //   polls (RR chunks, greedy rounds) notice within ~10ms of work.
 //
+// On each pass the acceptor joins the readers that have finished and
+// drops their connections; a connection's fd closes once the last queued
+// job answering it is done. When accept() runs out of descriptors or
+// memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) the acceptor reaps, backs off
+// briefly and retries; it returns only once the listener is shut down.
+//
 // Shutdown() drains gracefully: stop accepting, close reader sockets,
 // close the queue (already-accepted requests still run and respond),
 // join everything. Metrics: serve.requests, serve.responses,

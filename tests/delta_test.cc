@@ -3,12 +3,15 @@
 // from-scratch rebuild, chain sidecars, truncated/corrupt file rejection
 // (including the store.delta.validate failpoint), RR-era invalidation
 // accounting (clean sets reused verbatim, dirty sets resampled
-// bit-identically), patched world snapshots / packed sets vs cold
-// rebuilds, and Engine::ApplyDelta — equivalence across every registered
-// allocator at 1 and 8 threads, plus atomicity under concurrent
-// Allocate traffic.
+// bit-identically, several eras patched concurrently), patched world
+// snapshots / packed sets vs cold rebuilds, and Engine::ApplyDelta —
+// equivalence across every registered allocator at 1 and 8 threads,
+// patched empty-S_P PRIMA+ eras serving the post-delta runs, plus
+// atomicity under concurrent Allocate traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +37,7 @@
 #include "simulate/world_pool.h"
 #include "store/artifact_cache.h"
 #include "store/graph_store.h"
+#include "store/rr_store.h"
 #include "support/failpoint.h"
 #include "support/rng.h"
 
@@ -601,66 +605,113 @@ TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {
   const Graph& next = applied.value().graph;
   const uint64_t next_hash = applied.value().result_hash;
   ASSERT_NE(next_hash, base_hash);
+  std::vector<char> dirty(base.num_nodes(), 0);
+  for (NodeId v : applied.value().dirty_nodes) dirty[v] = 1;
 
   StatusOr<std::unique_ptr<ArtifactCache>> cache =
       ArtifactCache::Open(UniqueTempPath("rrcache"));
   ASSERT_TRUE(cache.ok());
 
-  // A base-graph era sampled exactly the way the pipeline does.
-  const uint64_t sample_seed = 0x1D;
-  const std::size_t num_sets = 400;
-  RrProvenance provenance;
-  provenance.graph_hash = base_hash;
-  provenance.sample_seed = sample_seed;
-  provenance.source_id = kStandardRrSourceId;
-  provenance.era_start = 0;
-  {
-    RrCollection era(base.num_nodes());
-    RrSampler sampler(base);
-    std::vector<NodeId> out;
-    for (std::size_t k = 0; k < num_sets; ++k) {
-      Rng rng(MixHash(sample_seed, kRrSampleTag ^ k));
-      sampler.SampleStandard(rng, &out);
-      era.Add(out, 1.0);
+  // Five base-graph eras, sampled exactly the way the pipeline does, with
+  // different seeds, starts and sizes, so several patch workers run.
+  struct Era {
+    uint64_t seed;
+    uint64_t start;
+    std::size_t num_sets;
+  };
+  const Era eras[] = {
+      {0x1D, 0, 400}, {0x2E, 0, 150}, {0x3F, 250, 600}, {0x1D, 400, 90},
+      {0x51, 0, 1}};
+  auto sample_era = [](const Graph& g, const Era& era, RrCollection* out) {
+    RrSampler sampler(g);
+    std::vector<NodeId> members;
+    for (std::size_t k = 0; k < era.num_sets; ++k) {
+      Rng rng(MixHash(era.seed, kRrSampleTag ^ (era.start + k)));
+      sampler.SampleStandard(rng, &members);
+      out->Add(members, 1.0);
+    }
+  };
+  auto provenance_of = [](const Era& era, uint64_t graph_hash) {
+    return RrProvenance{.graph_hash = graph_hash,
+                        .sample_seed = era.seed,
+                        .source_id = kStandardRrSourceId,
+                        .era_start = era.start};
+  };
+  std::size_t want_reused = 0, want_resampled = 0;
+  for (const Era& era : eras) {
+    RrCollection rr(base.num_nodes());
+    sample_era(base, era, &rr);
+    for (std::size_t k = 0; k < rr.size(); ++k) {
+      const auto members = rr.Members(static_cast<uint32_t>(k));
+      const bool touched =
+          std::any_of(members.begin(), members.end(),
+                      [&](NodeId v) { return dirty[v] != 0; });
+      ++(touched ? want_resampled : want_reused);
     }
     ASSERT_TRUE(cache.value()
                     ->StoreRrEra(RrRecipeHash(base_hash, kStandardRrSourceId,
-                                              sample_seed, 0),
-                                 provenance, era)
+                                              era.seed, era.start),
+                                 provenance_of(era, base_hash), rr)
+                    .ok());
+  }
+  // A marginal era of a non-empty S_P is left alone: its zeroed sets do
+  // not say which in-edge lists they read.
+  const uint64_t marginal_id = MarginalRrSourceId({7, 9});
+  {
+    RrCollection rr(base.num_nodes());
+    sample_era(base, eras[0], &rr);
+    RrProvenance provenance = provenance_of(eras[0], base_hash);
+    provenance.source_id = marginal_id;
+    ASSERT_TRUE(cache.value()
+                    ->StoreRrEra(RrRecipeHash(base_hash, marginal_id,
+                                              eras[0].seed, 0),
+                                 provenance, rr)
                     .ok());
   }
 
   const RrPatchStats stats =
       PatchCachedRrEras(*cache.value(), next, base_hash, next_hash,
                         applied.value().dirty_nodes);
-  EXPECT_EQ(stats.eras_scanned, 1u);
-  EXPECT_EQ(stats.eras_patched, 1u);
-  EXPECT_EQ(stats.sets_reused + stats.sets_resampled, num_sets);
+  EXPECT_EQ(stats.eras_scanned, std::size(eras));
+  EXPECT_EQ(stats.eras_patched, std::size(eras));
+  // The returned stats are the per-era sums.
+  EXPECT_EQ(stats.sets_reused, want_reused);
+  EXPECT_EQ(stats.sets_resampled, want_resampled);
   // Selective invalidation: a 12-edit churn must dirty some sets but
   // nowhere near all of them.
+  const std::size_t total_sets = want_reused + want_resampled;
   EXPECT_GT(stats.sets_reused, 0u);
   EXPECT_GT(stats.sets_resampled, 0u);
-  EXPECT_LT(stats.sets_resampled, num_sets / 2);
+  EXPECT_LT(stats.sets_resampled, total_sets / 2);
+  EXPECT_FALSE(cache.value()
+                   ->LoadRrEra(RrRecipeHash(next_hash, marginal_id,
+                                            eras[0].seed, 0),
+                               {.graph_hash = next_hash,
+                                .sample_seed = eras[0].seed,
+                                .source_id = marginal_id,
+                                .era_start = 0},
+                               next.num_nodes())
+                   .has_value());
 
-  // The patched era is byte-for-byte the era a cold pipeline would
+  // Every patched era is, set for set, the era a cold pipeline would
   // sample on the new graph.
-  RrProvenance fresh = provenance;
-  fresh.graph_hash = next_hash;
-  const std::optional<RrEraData> patched = cache.value()->LoadRrEra(
-      RrRecipeHash(next_hash, kStandardRrSourceId, sample_seed, 0), fresh,
-      next.num_nodes());
-  ASSERT_TRUE(patched.has_value());
-  ASSERT_EQ(patched->num_sets(), num_sets);
-  RrSampler sampler(next);
-  std::vector<NodeId> want;
-  for (std::size_t k = 0; k < num_sets; ++k) {
-    Rng rng(MixHash(sample_seed, kRrSampleTag ^ k));
-    sampler.SampleStandard(rng, &want);
-    const std::span<const NodeId> got = patched->members.subspan(
-        patched->offsets[k], patched->offsets[k + 1] - patched->offsets[k]);
-    ASSERT_EQ(got.size(), want.size()) << "set " << k;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "set " << k;
+  for (const Era& era : eras) {
+    const std::optional<RrEraData> patched = cache.value()->LoadRrEra(
+        RrRecipeHash(next_hash, kStandardRrSourceId, era.seed, era.start),
+        provenance_of(era, next_hash), next.num_nodes());
+    ASSERT_TRUE(patched.has_value()) << "era seed " << era.seed;
+    RrCollection want(next.num_nodes());
+    sample_era(next, era, &want);
+    ASSERT_EQ(patched->num_sets(), era.num_sets);
+    for (std::size_t k = 0; k < era.num_sets; ++k) {
+      const std::span<const NodeId> got = patched->members.subspan(
+          patched->offsets[k], patched->offsets[k + 1] - patched->offsets[k]);
+      const auto expected = want.Members(static_cast<uint32_t>(k));
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                             expected.end()))
+          << "era seed " << era.seed << " start " << era.start << " set "
+          << k;
+      EXPECT_EQ(patched->weights[k], 1.0);
     }
   }
 }
@@ -734,6 +785,59 @@ TEST(EngineDeltaTest, PostDeltaAllocationsMatchColdRebuildForEveryAlgo) {
   // Patching telemetry: the evaluator pools of the post-delta runs were
   // served incrementally from the pre-delta pools where one existed.
   EXPECT_GE(incremental.pool_stats().pools_built, 1u);
+}
+
+// SeqGRD-NM and MaxGRD without a fixed allocation run PRIMA+ with an
+// empty S_P, whose eras are standard eras: ApplyDelta patches them, and
+// the post-delta allocations are served from the patched eras.
+TEST(EngineDeltaTest, EmptyPriorSetErasArePatchedAndServeThePostDeltaRuns) {
+  const Graph base = TestGraph();
+  const UtilityConfig config = MakeConfigC1();
+  StatusOr<std::unique_ptr<ArtifactCache>> cache =
+      ArtifactCache::Open(UniqueTempPath("engine_rrcache"));
+  ASSERT_TRUE(cache.ok());
+  ArtifactCache& store = *cache.value();
+  Engine engine(base, config, {.cache = &store});
+  const AlgoKind algos[] = {AlgoKind::kSeqGrdNm, AlgoKind::kMaxGrd};
+  for (AlgoKind algo : algos) {
+    AllocateResult warm;
+    ASSERT_TRUE(engine.Allocate(TinyRequest(algo, 2), &warm).ok());
+  }
+  std::size_t standard_eras = 0;
+  for (const CacheEntry& entry : store.List()) {
+    if (entry.is_graph) continue;
+    const StatusOr<RrFileHeader> header = ReadRrHeader(entry.path);
+    ASSERT_TRUE(header.ok());
+    if (header.value().graph_hash == engine.graph_hash() &&
+        header.value().source_id == kStandardRrSourceId) {
+      ++standard_eras;
+    }
+  }
+  // Each PRIMA+ run persists a search era and a final era.
+  EXPECT_GE(standard_eras, 2u);
+
+  ApplyDeltaResult outcome;
+  ASSERT_TRUE(
+      engine.ApplyDelta(GenerateChurnDelta(base, 37, 12), &outcome).ok());
+  EXPECT_EQ(outcome.rr.eras_scanned, standard_eras);
+  EXPECT_EQ(outcome.rr.eras_patched, standard_eras);
+  EXPECT_GT(outcome.rr.sets_reused, 0u);
+
+  // Each post-delta run reads patched eras, and its results equal a cold
+  // engine's (no cache) on the composed graph bit for bit.
+  Engine cold(engine.graph(), config);
+  for (AlgoKind algo : algos) {
+    const uint64_t hits_before = store.stats().rr_hits;
+    AllocateResult served, fresh;
+    ASSERT_TRUE(engine.Allocate(TinyRequest(algo, 2), &served).ok());
+    EXPECT_GT(store.stats().rr_hits, hits_before) << AlgoName(algo);
+    ASSERT_TRUE(cold.Allocate(TinyRequest(algo, 2), &fresh).ok());
+    EXPECT_EQ(served.allocation.ToString(), fresh.allocation.ToString())
+        << AlgoName(algo);
+    EXPECT_EQ(std::bit_cast<uint64_t>(served.stats.welfare),
+              std::bit_cast<uint64_t>(fresh.stats.welfare))
+        << AlgoName(algo);
+  }
 }
 
 TEST(EngineDeltaTest, PoolsArePatchedAcrossDelta) {

@@ -382,7 +382,34 @@ TEST(RrSamplerTest, SamplersMatchReferenceLoopsAndAdvanceTheCallersRng) {
       ASSERT_EQ(PeekNext(fresh), PeekNext(ref_fresh));
     }
     EXPECT_GT(nonempty, 0u);
+
+    // An all-zero mask blocks nothing, so Algorithm 3 is the standard
+    // sampler draw for draw: same members, same Rng state after. This is
+    // what lets an empty S_P share the standard source id below.
+    const std::vector<char> none(n, 0);
+    RrSampler marginal(*g);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      Rng std_rng(seed), marg_rng(seed);
+      for (int k = 0; k < 12; ++k) {
+        sampler.SampleStandard(std_rng, &want);
+        marginal.SampleMarginal(marg_rng, none, &got);
+        ASSERT_EQ(got, want) << "seed " << seed << " sample " << k;
+        ASSERT_EQ(PeekNext(marg_rng), PeekNext(std_rng))
+            << "seed " << seed << " sample " << k;
+      }
+      Rng fresh(seed ^ 0x5EED), marg_fresh(seed ^ 0x5EED);
+      sampler.SampleStandard(fresh, &want);
+      marginal.SampleMarginal(marg_fresh, none, &got);
+      ASSERT_EQ(got, want) << "fresh seed " << seed;
+      ASSERT_EQ(PeekNext(marg_fresh), PeekNext(fresh));
+    }
   }
+
+  // One stream, one cache identity; any blocked node makes another.
+  EXPECT_EQ(MarginalRrSourceId({}), kStandardRrSourceId);
+  EXPECT_NE(MarginalRrSourceId({0}), kStandardRrSourceId);
+  EXPECT_NE(MarginalRrSourceId({3, 5}), kStandardRrSourceId);
+  EXPECT_EQ(MarginalRrSourceId({5, 3, 5}), MarginalRrSourceId({3, 5}));
 }
 
 TEST(ImmBoundsTest, LambdasPositiveAndMonotoneInBudget) {

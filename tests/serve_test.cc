@@ -3,23 +3,30 @@
 // the live server end-to-end over a loopback socket — protocol round
 // trips, concurrent clients bit-identical to direct engine execution,
 // queue-full `overloaded` rejection, deadline → `deadline_exceeded`,
-// malformed-request errors, and graceful shutdown draining in-flight
-// requests.
+// malformed-request errors, graceful shutdown draining in-flight
+// requests, and bounded descriptors: finished connections are reaped, and
+// the acceptor keeps serving after accept() hits the descriptor limit.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/config.h"
 #include "serve/json.h"
 #include "support/check.h"
@@ -230,10 +237,13 @@ ServeConfig TestServeConfig() {
 /// Blocking line-oriented loopback client.
 class Client {
  public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  explicit Client(int port) : Client(port, ::socket(AF_INET, SOCK_STREAM, 0)) {}
+
+  /// Connects the already created socket `fd`, which the client then
+  /// owns; replies must arrive within `timeout_s`.
+  Client(int port, int fd, int timeout_s = 120) : fd_(fd) {
     CWM_CHECK(fd_ >= 0);
-    timeval timeout{.tv_sec = 120, .tv_usec = 0};
+    timeval timeout{.tv_sec = timeout_s, .tv_usec = 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -242,7 +252,17 @@ class Client {
     CWM_CHECK(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                         sizeof addr) == 0);
   }
-  ~Client() { ::close(fd_); }
+  ~Client() { Close(); }
+
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  int fd() const { return fd_; }
 
   void Send(const std::string& line) {
     const std::string framed = line + "\n";
@@ -471,12 +491,13 @@ TEST(ServeServerTest, MalformedAndUnknownRequestsGetStructuredErrors) {
 }
 
 // A request heavy enough to outlive the test's control operations (large
-// estimator world counts on the 300-node smoke graph).
+// estimator world counts on the 300-node smoke graph): about 3 s
+// uncancelled on a 4-core VM, so its deadline always fires first.
 std::string HeavyRequest(const std::string& id, int64_t deadline_ms) {
   std::string request = "{\"id\": \"" + id +
                         "\", \"graph\": \"tiny\", \"algo\": \"SeqGRD\", "
-                        "\"budgets\": [10], \"sims\": 40000, "
-                        "\"eval_sims\": 40000";
+                        "\"budgets\": [10], \"sims\": 200000, "
+                        "\"eval_sims\": 200000";
   if (deadline_ms > 0) {
     request += ", \"deadline_ms\": " + std::to_string(deadline_ms);
   }
@@ -575,6 +596,134 @@ TEST(ServeServerTest, DegradedResponsesAreFlaggedAndBitIdentical) {
   server.value()->Shutdown();
   std::error_code ec;
   std::filesystem::remove_all(cache_dir, ec);
+}
+
+std::size_t OpenFdCount() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A finished connection gives back its descriptor and reader thread: a
+// long-lived server's fd count stays flat over many short clients.
+TEST(ServeServerTest, SequentialClientsDoNotAccumulateDescriptors) {
+  StatusOr<std::unique_ptr<Server>> server = Server::Start(TestServeConfig());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  auto round_trip = [port](int i) {
+    Client client(port);
+    client.Send(SmallRequest("s" + std::to_string(i), "TCIM", 3));
+    return FieldOf(client.ReadLine(), "ok");
+  };
+  ASSERT_EQ(round_trip(-1), "true");
+  const std::size_t before = OpenFdCount();
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(round_trip(i), "true") << i;
+  // The acceptor reaps on its next pass, so the last few readers may not
+  // have been joined yet; nothing else may remain.
+  EXPECT_LE(OpenFdCount(), before + 4);
+  server.value()->Shutdown();
+}
+
+// Restores the process's descriptor limit when the test leaves.
+class ScopedFdLimit {
+ public:
+  ScopedFdLimit() { CWM_CHECK(::getrlimit(RLIMIT_NOFILE, &original_) == 0); }
+  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &original_); }
+
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  rlim_t soft() const { return original_.rlim_cur; }
+  bool Lower(rlim_t limit) {
+    rlimit lowered = original_;
+    lowered.rlim_cur = limit;
+    return ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+
+ private:
+  rlimit original_{};
+};
+
+// At the descriptor limit, accept() fails with EMFILE. The acceptor must
+// count it, reap finished connections and keep accepting: once the
+// accepted clients hang up, the connection waiting in the backlog is
+// served.
+TEST(ServeServerTest, AcceptorKeepsServingAfterDescriptorExhaustion) {
+  StatusOr<std::unique_ptr<Server>> server = Server::Start(TestServeConfig());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = server.value()->port();
+  ScopedFdLimit limit;
+  if (limit.soft() < 64) GTEST_SKIP() << "descriptor limit too low";
+
+  // The client sockets live above the limit set below: closing one frees
+  // no descriptor the acceptor could take, so only reaping can.
+  constexpr int kClients = 8;
+  const int high_base =
+      static_cast<int>(std::min<rlim_t>(limit.soft(), 1024)) - 2 * kClients;
+  std::vector<int> client_fds;
+  for (int i = 0; i < kClients; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    client_fds.push_back(::fcntl(fd, F_DUPFD_CLOEXEC, high_base + i));
+    ::close(fd);
+    ASSERT_EQ(client_fds.back(), high_base + i);
+  }
+  // Lower the limit a little above the descriptors in use and take every
+  // free slot below it but one. Other threads may hold a slot briefly,
+  // so the clients below connect one at a time until one is left in the
+  // backlog.
+  int highest_low = 0;
+  for (int fd = 0; fd < high_base; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) highest_low = fd;
+  }
+  const int lowered = highest_low + 16;
+  ASSERT_LT(lowered, high_base);
+  ASSERT_TRUE(limit.Lower(static_cast<rlim_t>(lowered)));
+  std::vector<int> fillers;
+  for (int fd = ::dup(client_fds[0]); fd >= 0; fd = ::dup(client_fds[0])) {
+    fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+  ASSERT_FALSE(fillers.empty());
+  ::close(fillers.back());
+  fillers.pop_back();
+
+  Counter& io_errors =
+      MetricsRegistry::Global().GetCounter("serve.io_errors");
+  const uint64_t io_errors_before = io_errors.value();
+  std::vector<std::unique_ptr<Client>> clients;
+  std::string waiting_reply;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<Client>(port, client_fds[i], 20));
+    Client& client = *clients.back();
+    client.Send(SmallRequest("c" + std::to_string(i), "TCIM", 3));
+    // Either the reply arrives (accepted) or accept() fails for want of
+    // a descriptor, which the acceptor counts.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool replied = false;
+    while (!replied && io_errors.value() == io_errors_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      pollfd ready{.fd = client.fd(), .events = POLLIN, .revents = 0};
+      replied = ::poll(&ready, 1, 5) > 0;
+    }
+    if (replied) {
+      ASSERT_EQ(FieldOf(client.ReadLine(), "ok"), "true") << i;
+      continue;
+    }
+    EXPECT_GT(io_errors.value(), io_errors_before);
+    // The accepted clients hang up; their readers exit, the acceptor
+    // reaps them, and a freed descriptor admits this one.
+    for (int j = 0; j < i; ++j) clients[j]->Close();
+    waiting_reply = client.ReadLine();
+    break;
+  }
+  for (int fd : fillers) ::close(fd);
+  EXPECT_EQ(FieldOf(waiting_reply, "ok"), "true")
+      << "no client was left waiting, or it got no reply: " << waiting_reply;
+  server.value()->Shutdown();
 }
 
 TEST(ServeServerTest, GracefulShutdownDrainsInFlightRequests) {
