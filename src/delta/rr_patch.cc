@@ -1,7 +1,5 @@
 #include "delta/rr_patch.h"
 
-#include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,17 +23,19 @@ struct EraToPatch {
 };
 
 /// Patches one era: opens it, reuses its clean sets, resamples the dirty
-/// ones on `sampler`'s graph and stores the result under `new_hash`.
-/// Returns this era's share of the stats (eras_scanned is the caller's).
+/// ones on `new_graph` and stores the result under `new_hash`. Returns
+/// this era's share of the stats (eras_scanned is the caller's).
 RrPatchStats PatchEra(ArtifactCache& cache, const EraToPatch& era,
-                      uint64_t new_hash, std::size_t n,
-                      const std::vector<char>& dirty, RrSampler& sampler,
-                      std::vector<NodeId>& scratch) {
+                      uint64_t new_hash, const std::vector<char>& dirty,
+                      const Graph& new_graph) {
   RrPatchStats stats;
+  const std::size_t n = new_graph.num_nodes();
   StatusOr<RrEraData> opened = OpenRrFile(era.path, &era.expect, n);
   if (!opened.ok()) return stats;  // the pipeline will resample it cold
   const RrEraData& data = opened.value();
 
+  RrSampler sampler(new_graph);
+  std::vector<NodeId> scratch;
   RrCollection patched(n);
   for (std::size_t k = 0; k < data.num_sets(); ++k) {
     const std::span<const NodeId> members = data.members.subspan(
@@ -116,22 +116,11 @@ RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
 
   // One era per task. Eras are independent files and every set's stream
   // is pinned by (seed, index), so the patched bytes do not depend on
-  // which worker runs which era; each worker owns a sampler and scratch.
-  const unsigned threads = static_cast<unsigned>(
-      std::min<std::size_t>(DefaultThreads(), eras.size()));
-  std::vector<std::unique_ptr<RrSampler>> samplers(threads);
-  std::vector<std::vector<NodeId>> scratch(threads);
+  // which worker runs which era.
   std::vector<RrPatchStats> per_era(eras.size());
-  ParallelForWorkers(
-      eras.size(),
-      [&](std::size_t worker, std::size_t i) {
-        if (samplers[worker] == nullptr) {
-          samplers[worker] = std::make_unique<RrSampler>(new_graph);
-        }
-        per_era[i] = PatchEra(cache, eras[i], new_hash, n, dirty,
-                              *samplers[worker], scratch[worker]);
-      },
-      threads);
+  ParallelFor(eras.size(), [&](std::size_t i) {
+    per_era[i] = PatchEra(cache, eras[i], new_hash, dirty, new_graph);
+  });
   for (const RrPatchStats& era : per_era) {
     stats.eras_patched += era.eras_patched;
     stats.sets_reused += era.sets_reused;

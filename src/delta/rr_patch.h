@@ -25,9 +25,9 @@
 // age out: a zeroed set does not record which in-edge lists its BFS
 // read, so it cannot be checked against the dirty vertices.
 //
-// Eras are patched in parallel, one era per worker (DefaultThreads(),
-// capped by the era count), each with its own sampler. An era that fails
-// to open or store loses only its own warm start.
+// Eras are patched in parallel, one era per task (DefaultThreads()
+// workers, capped by the era count), each task with its own sampler. An
+// era that fails to open or store loses only its own warm start.
 //
 // Counters: delta.eras_patched, delta.sets_reused, delta.sets_resampled
 // (the acceptance "invalidation counter": nonzero resamples alongside

@@ -364,9 +364,14 @@ struct Server::Impl {
 
   bool shut_down = false;
   std::mutex shutdown_mutex;
+  /// Set by Shutdown() before it shuts the listener down. Out of
+  /// descriptors, accept() keeps failing with EMFILE even on a shut-down
+  /// listener (it reserves the new fd first), so the retrying acceptor
+  /// must learn of the shutdown from this flag.
+  std::atomic<bool> stopping{false};
 
   void AcceptLoop() {
-    while (true) {
+    while (!stopping.load(std::memory_order_acquire)) {
       // An injected accept fault models a transient kernel error
       // (EMFILE, ENOBUFS): count it and keep accepting.
       if (!CWM_FAILPOINT_STATUS("serve.accept").ok()) {
@@ -384,7 +389,8 @@ struct Server::Impl {
         }
         // Out of descriptors or memory: the pending connection stays in
         // the listen backlog. Give back what finished connections hold,
-        // wait briefly and retry instead of abandoning the listener.
+        // wait briefly and retry (until shutdown) instead of abandoning
+        // the listener.
         if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
             errno == ENOMEM) {
           IoErrorsCounter().Add(1);
@@ -534,9 +540,11 @@ struct Server::Impl {
       if (shut_down) return;
       shut_down = true;
     }
-    // 1. Stop accepting: wake the blocked accept() and join the acceptor.
-    //    The fd closes only after the join, so a retrying acceptor never
-    //    calls accept() on a descriptor number reused elsewhere.
+    // 1. Stop accepting: flag the acceptor, wake the blocked accept() and
+    //    join the acceptor. The fd closes only after the join, so a
+    //    retrying acceptor never calls accept() on a descriptor number
+    //    reused elsewhere.
+    stopping.store(true, std::memory_order_release);
     ::shutdown(listen_fd, SHUT_RDWR);
     if (acceptor.joinable()) acceptor.join();
     ::close(listen_fd);

@@ -23,7 +23,7 @@
 // drops their connections; a connection's fd closes once the last queued
 // job answering it is done. When accept() runs out of descriptors or
 // memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) the acceptor reaps, backs off
-// briefly and retries; it returns only once the listener is shut down.
+// briefly and retries until Shutdown() flags it to stop.
 //
 // Shutdown() drains gracefully: stop accepting, close reader sockets,
 // close the queue (already-accepted requests still run and respond),

@@ -4,8 +4,9 @@
 // trips, concurrent clients bit-identical to direct engine execution,
 // queue-full `overloaded` rejection, deadline → `deadline_exceeded`,
 // malformed-request errors, graceful shutdown draining in-flight
-// requests, and bounded descriptors: finished connections are reaped, and
-// the acceptor keeps serving after accept() hits the descriptor limit.
+// requests, and bounded descriptors: finished connections are reaped, the
+// acceptor keeps serving after accept() hits the descriptor limit, and
+// shutdown still finishes while the limit is hit.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -22,6 +23,7 @@
 #include <filesystem>
 #include <memory>
 #include <random>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -647,6 +649,112 @@ class ScopedFdLimit {
   rlimit original_{};
 };
 
+// Leaves a running server without a free descriptor. Clients connect on
+// sockets parked above a lowered RLIMIT_NOFILE, so closing one frees no
+// descriptor the acceptor could take, and every free slot below the limit
+// but one is filled. Other threads may hold a slot briefly, so Exhaust()
+// connects the clients one at a time, each sending a request, until
+// accept() fails and a client is left in the backlog. Leaving closes the
+// fillers and the unused parked sockets and restores the limit.
+//
+// Under UBSan, the first dynamic-type check of each polymorphic type
+// probes its vtable through a pipe, which needs two free descriptors. So
+// Exhaust() first runs a throwaway server through a round trip and a
+// shutdown while descriptors are plentiful, and a test must not start or
+// end a thread of its own while they are exhausted.
+struct DescriptorExhaustion {
+  static constexpr int kClients = 8;
+
+  ~DescriptorExhaustion() {
+    ReleaseFillers();
+    for (std::size_t i = clients.size(); i < parked.size(); ++i) {
+      ::close(parked[i]);
+    }
+  }
+
+  void ReleaseFillers() {
+    for (int fd : fillers) ::close(fd);
+    fillers.clear();
+  }
+
+  /// Sets `*waiting` to the index of the client left in the backlog, or
+  /// to -1 if every client was answered.
+  void Exhaust(int port, int* waiting) {
+    *waiting = -1;
+    {
+      StatusOr<std::unique_ptr<Server>> warm =
+          Server::Start(TestServeConfig());
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      Client client(warm.value()->port());
+      client.Send(SmallRequest("warm", "TCIM", 3));
+      ASSERT_EQ(FieldOf(client.ReadLine(), "ok"), "true");
+      client.Close();
+      warm.value()->Shutdown();
+    }
+    const int high_base =
+        static_cast<int>(std::min<rlim_t>(limit.soft(), 1024)) - 2 * kClients;
+    for (int i = 0; i < kClients; ++i) {
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      parked.push_back(::fcntl(fd, F_DUPFD_CLOEXEC, high_base + i));
+      ::close(fd);
+      ASSERT_EQ(parked.back(), high_base + i);
+    }
+    // The fillers dup /dev/null, parked above the limit too: were they
+    // dups of a client socket, closing that client would not hang up.
+    const int null_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    const int source = ::fcntl(null_fd, F_DUPFD_CLOEXEC, high_base + kClients);
+    ::close(null_fd);
+    ASSERT_EQ(source, high_base + kClients);
+    // Lower the limit a little above the descriptors in use and take
+    // every free slot below it but one.
+    int highest_low = 0;
+    for (int fd = 0; fd < high_base; ++fd) {
+      if (::fcntl(fd, F_GETFD) != -1) highest_low = fd;
+    }
+    const int lowered = highest_low + 16;
+    ASSERT_LT(lowered, high_base);
+    ASSERT_TRUE(limit.Lower(static_cast<rlim_t>(lowered)));
+    for (int fd = ::dup(source); fd >= 0; fd = ::dup(source)) {
+      fillers.push_back(fd);
+    }
+    ASSERT_EQ(errno, EMFILE);
+    ::close(source);
+    ASSERT_FALSE(fillers.empty());
+    ::close(fillers.back());
+    fillers.pop_back();
+
+    Counter& io_errors =
+        MetricsRegistry::Global().GetCounter("serve.io_errors");
+    const uint64_t io_errors_before = io_errors.value();
+    for (int i = 0; i < kClients; ++i) {
+      clients.push_back(std::make_unique<Client>(port, parked[i], 20));
+      Client& client = *clients.back();
+      client.Send(SmallRequest("c" + std::to_string(i), "TCIM", 3));
+      // Either the reply arrives (accepted) or accept() fails for want of
+      // a descriptor, which the acceptor counts.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      bool replied = false;
+      while (!replied && io_errors.value() == io_errors_before &&
+             std::chrono::steady_clock::now() < deadline) {
+        pollfd ready{.fd = client.fd(), .events = POLLIN, .revents = 0};
+        replied = ::poll(&ready, 1, 5) > 0;
+      }
+      if (!replied) {
+        EXPECT_GT(io_errors.value(), io_errors_before);
+        *waiting = i;
+        return;
+      }
+      ASSERT_EQ(FieldOf(client.ReadLine(), "ok"), "true") << i;
+    }
+  }
+
+  ScopedFdLimit limit;
+  std::vector<int> parked;    ///< client sockets above the limit
+  std::vector<int> fillers;   ///< dups holding the slots below it
+  std::vector<std::unique_ptr<Client>> clients;  ///< own parked[0..size)
+};
+
 // At the descriptor limit, accept() fails with EMFILE. The acceptor must
 // count it, reap finished connections and keep accepting: once the
 // accepted clients hang up, the connection waiting in the backlog is
@@ -654,76 +762,64 @@ class ScopedFdLimit {
 TEST(ServeServerTest, AcceptorKeepsServingAfterDescriptorExhaustion) {
   StatusOr<std::unique_ptr<Server>> server = Server::Start(TestServeConfig());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const int port = server.value()->port();
-  ScopedFdLimit limit;
-  if (limit.soft() < 64) GTEST_SKIP() << "descriptor limit too low";
+  DescriptorExhaustion exhausted;
+  if (exhausted.limit.soft() < 64) GTEST_SKIP() << "descriptor limit too low";
+  int waiting = -1;
+  exhausted.Exhaust(server.value()->port(), &waiting);
+  if (HasFatalFailure()) return;
+  ASSERT_GT(waiting, 0) << "no client was accepted, or every one was";
 
-  // The client sockets live above the limit set below: closing one frees
-  // no descriptor the acceptor could take, so only reaping can.
-  constexpr int kClients = 8;
-  const int high_base =
-      static_cast<int>(std::min<rlim_t>(limit.soft(), 1024)) - 2 * kClients;
-  std::vector<int> client_fds;
-  for (int i = 0; i < kClients; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    client_fds.push_back(::fcntl(fd, F_DUPFD_CLOEXEC, high_base + i));
-    ::close(fd);
-    ASSERT_EQ(client_fds.back(), high_base + i);
-  }
-  // Lower the limit a little above the descriptors in use and take every
-  // free slot below it but one. Other threads may hold a slot briefly,
-  // so the clients below connect one at a time until one is left in the
-  // backlog.
-  int highest_low = 0;
-  for (int fd = 0; fd < high_base; ++fd) {
-    if (::fcntl(fd, F_GETFD) != -1) highest_low = fd;
-  }
-  const int lowered = highest_low + 16;
-  ASSERT_LT(lowered, high_base);
-  ASSERT_TRUE(limit.Lower(static_cast<rlim_t>(lowered)));
-  std::vector<int> fillers;
-  for (int fd = ::dup(client_fds[0]); fd >= 0; fd = ::dup(client_fds[0])) {
-    fillers.push_back(fd);
-  }
-  ASSERT_EQ(errno, EMFILE);
-  ASSERT_FALSE(fillers.empty());
-  ::close(fillers.back());
-  fillers.pop_back();
-
-  Counter& io_errors =
-      MetricsRegistry::Global().GetCounter("serve.io_errors");
-  const uint64_t io_errors_before = io_errors.value();
-  std::vector<std::unique_ptr<Client>> clients;
-  std::string waiting_reply;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<Client>(port, client_fds[i], 20));
-    Client& client = *clients.back();
-    client.Send(SmallRequest("c" + std::to_string(i), "TCIM", 3));
-    // Either the reply arrives (accepted) or accept() fails for want of
-    // a descriptor, which the acceptor counts.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    bool replied = false;
-    while (!replied && io_errors.value() == io_errors_before &&
-           std::chrono::steady_clock::now() < deadline) {
-      pollfd ready{.fd = client.fd(), .events = POLLIN, .revents = 0};
-      replied = ::poll(&ready, 1, 5) > 0;
-    }
-    if (replied) {
-      ASSERT_EQ(FieldOf(client.ReadLine(), "ok"), "true") << i;
-      continue;
-    }
-    EXPECT_GT(io_errors.value(), io_errors_before);
-    // The accepted clients hang up; their readers exit, the acceptor
-    // reaps them, and a freed descriptor admits this one.
-    for (int j = 0; j < i; ++j) clients[j]->Close();
-    waiting_reply = client.ReadLine();
-    break;
-  }
-  for (int fd : fillers) ::close(fd);
-  EXPECT_EQ(FieldOf(waiting_reply, "ok"), "true")
-      << "no client was left waiting, or it got no reply: " << waiting_reply;
+  // The accepted clients hang up; their readers exit, the acceptor reaps
+  // them, and a freed descriptor admits the waiting one.
+  for (int j = 0; j < waiting; ++j) exhausted.clients[j]->Close();
+  const std::string reply = exhausted.clients[waiting]->ReadLine();
+  exhausted.ReleaseFillers();
+  EXPECT_EQ(FieldOf(reply, "ok"), "true") << "the waiting client got: "
+                                          << reply;
   server.value()->Shutdown();
+}
+
+// Out of descriptors, accept() keeps failing with EMFILE even on a
+// shut-down listener. While open, idle connections hold every descriptor,
+// reaping frees nothing, so Shutdown() must still stop the retrying
+// acceptor rather than wait for a descriptor to come free.
+TEST(ServeServerTest, ShutdownFinishesWhileDescriptorsAreExhausted) {
+  StatusOr<std::unique_ptr<Server>> server = Server::Start(TestServeConfig());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  DescriptorExhaustion exhausted;
+  if (exhausted.limit.soft() < 64) GTEST_SKIP() << "descriptor limit too low";
+  // Calls Shutdown() once told to (or once the test leaves early), then
+  // lingers until stopped, so that it neither starts nor ends while the
+  // descriptors are exhausted.
+  std::atomic<bool> go{false};
+  std::atomic<bool> finished{false};
+  std::jthread shutdown([&](std::stop_token stop) {
+    const auto nap = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    while (!go.load() && !stop.stop_requested()) nap();
+    server.value()->Shutdown();
+    finished.store(true);
+    while (!stop.stop_requested()) nap();
+  });
+  int waiting = -1;
+  exhausted.Exhaust(server.value()->port(), &waiting);
+  if (HasFatalFailure()) return;
+  ASSERT_GE(waiting, 0) << "every client was accepted";
+
+  go.store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool in_time = finished.load();
+  // Free the descriptors either way, so a stuck acceptor can return and
+  // the test ends with a failure instead of hanging.
+  exhausted.ReleaseFillers();
+  shutdown.request_stop();
+  shutdown.join();
+  EXPECT_TRUE(in_time) << "Shutdown() waited for a free descriptor";
 }
 
 TEST(ServeServerTest, GracefulShutdownDrainsInFlightRequests) {
