@@ -5,6 +5,40 @@
 // gain is submodular in the selected set). Returns seeds in greedy order —
 // the order is what gives PRIMA+ its prefix-preservation property
 // (Definition 1) and SeqGRD/MaxGRD their per-budget prefixes.
+//
+// Candidate tiers. Taking a node debits the sets that contain it, so the
+// greedy needs node -> RR lists, but only for nodes it pops. One pass over
+// the collection's CSR sums every node's gain and set count; a filtered
+// counting-sort pass then lists only a tier of candidates: the top
+// max(4*budget, 64) positive-gain nodes in the heap's own order (gain
+// descending, then smaller id). The lazy heap holds listed nodes only.
+// Before each pop, if the best unlisted node at its initial gain would pop
+// ahead of the heap top, the next tier (twice the size) is listed and
+// pushed. A call usually pops a few dozen entries and rarely reaches far
+// down the initial ranking, so on a collection of tens of thousands of
+// positive-gain nodes one small tier replaces the whole index.
+//
+// The one-eighth rule: once a tier would reach an eighth of the
+// positive-gain nodes, every remaining one is listed in that pass. Each
+// tier costs a pass over all members however few nodes it lists, so a
+// collection over few nodes at a large budget (Fig 6(d)'s 1,000-2,000-node
+// subgraphs at budgets 50-150, whose greedy does reach deep into the
+// ranking) would otherwise pay several passes where one whole index does.
+//
+// Equivalence with the whole-index greedy (tests/rrset_test.cc keeps it as
+// the reference): seeds and covered_prefix are bit-identical.
+//  * The heap holds at most one entry per node (a popped entry is either
+//    taken or re-pushed at its refreshed gain), so entries are distinct
+//    under the total order (gain descending, id ascending) and pops
+//    follow that order whatever the heap's layout.
+//  * An unlisted node was never popped, so the whole-index heap would
+//    still hold it at its initial gain. Listing the next tier whenever
+//    the best such entry would pop first makes every pop the one the
+//    whole-index heap makes; gains of unlisted nodes are debited all the
+//    same, so a later pop sees the same refreshed gain.
+//  * Gains are summed in ascending set id, as the index walk summed them,
+//    and each node's list is in ascending set id, so every debit happens
+//    in the same order on the same doubles.
 #ifndef CWM_RRSET_NODE_SELECTION_H_
 #define CWM_RRSET_NODE_SELECTION_H_
 

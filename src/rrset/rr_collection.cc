@@ -1,5 +1,7 @@
 #include "rrset/rr_collection.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 
 namespace cwm {
@@ -15,42 +17,32 @@ uint32_t RrCollection::Add(std::span<const NodeId> members, double weight) {
   return id;
 }
 
-void RrCollection::Merge(const RrShard& shard) {
-  for (NodeId v : shard.members) CWM_CHECK(v < num_nodes_);
+void RrCollection::Append(std::span<const uint64_t> offsets,
+                          std::span<const NodeId> members,
+                          std::span<const double> weights) {
+  CWM_CHECK(offsets.size() == weights.size() + 1);
+  CWM_CHECK(offsets.back() - offsets.front() == members.size());
+  // One reduction instead of a branch per member keeps the range check
+  // vectorizable.
+  NodeId max_member = 0;
+  for (NodeId v : members) max_member = std::max(max_member, v);
+  CWM_CHECK(members.empty() || max_member < num_nodes_);
+
   const uint64_t base = rr_members_.size();
-  rr_members_.insert(rr_members_.end(), shard.members.begin(),
-                     shard.members.end());
-  rr_offsets_.reserve(rr_offsets_.size() + shard.size());
-  for (std::size_t s = 1; s < shard.offsets.size(); ++s) {
-    rr_offsets_.push_back(base + shard.offsets[s]);
+  rr_members_.insert(rr_members_.end(), members.begin(), members.end());
+  // resize, not reserve: an exact reserve per call would reallocate on
+  // every merge of a chunked era.
+  const std::size_t first = rr_offsets_.size();
+  rr_offsets_.resize(first + weights.size());
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    CWM_CHECK(offsets[k + 1] >= offsets[k]);
+    rr_offsets_[first + k] = base + (offsets[k + 1] - offsets.front());
   }
-  rr_weights_.insert(rr_weights_.end(), shard.weights.begin(),
-                     shard.weights.end());
-  for (double w : shard.weights) {
+  rr_weights_.insert(rr_weights_.end(), weights.begin(), weights.end());
+  for (double w : weights) {
     CWM_CHECK(w >= 0.0 && w <= 1.0 + 1e-9);
     total_weight_ += w;
   }
-}
-
-void RrCollection::BuildIndex() const {
-  // Counting sort of (node -> RR id) pairs; ids emitted ascending, so each
-  // node's list is sorted.
-  node_to_rr_offsets_.assign(num_nodes_ + 1, 0);
-  for (NodeId v : rr_members_) node_to_rr_offsets_[v + 1]++;
-  for (std::size_t v = 0; v < num_nodes_; ++v) {
-    node_to_rr_offsets_[v + 1] += node_to_rr_offsets_[v];
-  }
-  node_to_rr_ids_.resize(rr_members_.size());
-  std::vector<uint64_t> cursor(node_to_rr_offsets_.begin(),
-                               node_to_rr_offsets_.end() - 1);
-  const std::size_t sets = size();
-  for (std::size_t id = 0; id < sets; ++id) {
-    for (uint64_t m = rr_offsets_[id]; m < rr_offsets_[id + 1]; ++m) {
-      node_to_rr_ids_[cursor[rr_members_[m]]++] =
-          static_cast<uint32_t>(id);
-    }
-  }
-  indexed_sets_ = sets;
 }
 
 void RrCollection::Clear() {
@@ -58,9 +50,6 @@ void RrCollection::Clear() {
   rr_members_.clear();
   rr_weights_.clear();
   total_weight_ = 0.0;
-  indexed_sets_ = 0;
-  node_to_rr_offsets_.assign(num_nodes_ + 1, 0);
-  node_to_rr_ids_.clear();
 }
 
 }  // namespace cwm

@@ -9,17 +9,14 @@
 // yields the empty set whenever a reverse BFS hits the fixed seed set S_P,
 // and those samples still count toward the sample-size target theta.
 //
-// Layout: RR members live in one flat CSR array (rr_offsets_/rr_members_),
-// and the node -> RR inverted index is a second flat CSR
-// (node_to_rr_offsets_/node_to_rr_ids_) rebuilt by counting sort whenever
-// sets were appended since the last build. The rebuild visits RR ids in
-// ascending order, so each node's id list is sorted — exactly the order the
-// old per-node vector<vector> accumulated — while the flat layout removes
-// per-node allocation and keeps the greedy max-coverage scan cache-friendly.
+// Layout: RR members live in one flat CSR array (rr_offsets_/rr_members_)
+// beside the weights, exactly the sections a .cwr file stores
+// (store/rr_store.h). Readers that need node -> RR lists build what they
+// need from it (rrset/node_selection.h lists only a candidate tier).
 //
-// Parallel producers append into private RrShards (no inverted index, no
-// node-universe allocation) which are merged single-threaded in a
-// deterministic order; see rrset/rr_pipeline.h.
+// Parallel producers append into private RrShards (no node-universe
+// allocation) which are merged single-threaded in a deterministic order;
+// see rrset/rr_pipeline.h.
 #ifndef CWM_RRSET_RR_COLLECTION_H_
 #define CWM_RRSET_RR_COLLECTION_H_
 
@@ -32,8 +29,7 @@
 namespace cwm {
 
 /// A lightweight, append-only batch of weighted RR sets produced by one
-/// worker/chunk. Cheap to construct (no per-node state), merged into an
-/// RrCollection with RrCollection::Merge.
+/// worker/chunk, merged into an RrCollection with RrCollection::Merge.
 struct RrShard {
   std::vector<uint64_t> offsets{0};
   std::vector<NodeId> members;
@@ -55,24 +51,34 @@ struct RrShard {
   }
 };
 
-/// Append-only collection of weighted RR sets with a flat CSR node -> RR
-/// inverted index (used by the greedy max-coverage selection). Appends and
-/// reads are single-threaded; parallel producers fill RrShards and Merge
-/// them in a deterministic order.
+/// Append-only collection of weighted RR sets in flat CSR form. Appends
+/// and reads are single-threaded; parallel producers fill RrShards and
+/// Merge them in a deterministic order.
 class RrCollection {
  public:
-  /// `num_nodes` sizes the inverted index.
-  explicit RrCollection(std::size_t num_nodes)
-      : num_nodes_(num_nodes), node_to_rr_offsets_(num_nodes + 1, 0) {}
+  /// `num_nodes` bounds member ids.
+  explicit RrCollection(std::size_t num_nodes) : num_nodes_(num_nodes) {}
 
   /// Adds one RR set with normalized weight in [0, 1]. `members` may be
   /// empty (a zeroed marginal sample). Returns the new RR id.
   uint32_t Add(std::span<const NodeId> members, double weight);
 
+  /// Appends a run of RR sets in CSR form, as one Add per set would:
+  /// `offsets` has weights.size() + 1 non-decreasing entries and set k's
+  /// members are members[offsets[k] - offsets[0], offsets[k + 1] -
+  /// offsets[0]). The offsets may start anywhere, so a range cut from the
+  /// middle of a stored era (store/rr_store.h) appends without rebasing.
+  /// Weights are checked and summed into TotalWeight() set by set.
+  void Append(std::span<const uint64_t> offsets,
+              std::span<const NodeId> members,
+              std::span<const double> weights);
+
   /// Appends every RR set of `shard`, in shard order. Merging the same
   /// shards in the same order yields the same collection regardless of
   /// how many workers produced them.
-  void Merge(const RrShard& shard);
+  void Merge(const RrShard& shard) {
+    Append(shard.offsets, shard.members, shard.weights);
+  }
 
   /// Number of RR sets, including empty ones (the theta denominator).
   std::size_t size() const { return rr_weights_.size(); }
@@ -92,16 +98,6 @@ class RrCollection {
   /// Sum of all weights (the maximum possible coverage).
   double TotalWeight() const { return total_weight_; }
 
-  /// RR ids containing node `v`, ascending. Rebuilds the inverted index if
-  /// sets were appended since the last build (O(total members), amortized
-  /// over the sampling epoch). Not safe to call concurrently with appends
-  /// or with a first post-append call on another thread.
-  std::span<const uint32_t> RrSetsOf(NodeId v) const {
-    if (indexed_sets_ != size()) BuildIndex();
-    return {node_to_rr_ids_.data() + node_to_rr_offsets_[v],
-            node_to_rr_ids_.data() + node_to_rr_offsets_[v + 1]};
-  }
-
   std::size_t num_nodes() const { return num_nodes_; }
 
   // Raw CSR sections in storage order, exactly as persisted by the
@@ -116,18 +112,11 @@ class RrCollection {
   void Clear();
 
  private:
-  void BuildIndex() const;
-
   std::size_t num_nodes_;
   std::vector<uint64_t> rr_offsets_{0};
   std::vector<NodeId> rr_members_;
   std::vector<double> rr_weights_;
   double total_weight_ = 0.0;
-
-  // Inverted index (lazily rebuilt CSR); mutable so reads stay const.
-  mutable std::size_t indexed_sets_ = 0;
-  mutable std::vector<uint64_t> node_to_rr_offsets_;
-  mutable std::vector<uint32_t> node_to_rr_ids_;
 };
 
 }  // namespace cwm

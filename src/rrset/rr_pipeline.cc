@@ -1,6 +1,7 @@
 #include "rrset/rr_pipeline.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "obs/cancel.h"
@@ -71,18 +72,20 @@ void RrPipeline::ServeFromCache(RrCollection* rr, std::size_t target) {
                 "cached RrPipeline fed a different RrCollection mid-era");
   if (era_data_ == nullptr) return;
 
-  // Serve cached samples [rr->size(), min(target, cached count)). Replay
-  // through Add in sample order, so weight accumulation and member layout
-  // are bit-identical to the cold path's chunk-ordered merges.
+  // Serve cached samples [rr->size(), min(target, cached count)) with one
+  // Append, which lays out members and sums weights set by set in sample
+  // order, bit-identical to the cold path's chunk-ordered merges.
+  const std::size_t from = rr->size();
   const std::size_t upto =
       std::min<std::size_t>(target, era_data_->num_sets());
-  for (std::size_t k = rr->size(); k < upto; ++k) {
-    const uint64_t begin = era_data_->offsets[k];
-    const uint64_t end = era_data_->offsets[k + 1];
-    rr->Add({era_data_->members.data() + begin,
-             era_data_->members.data() + end},
-            era_data_->weights[k]);
-    ++next_sample_;
+  if (upto > from) {
+    const std::span<const uint64_t> offsets =
+        era_data_->offsets.subspan(from, upto - from + 1);
+    rr->Append(offsets,
+               era_data_->members.subspan(offsets.front(),
+                                          offsets.back() - offsets.front()),
+               era_data_->weights.subspan(from, upto - from));
+    next_sample_ += upto - from;
   }
   // Fully consumed: the arrays are dead weight (eras only grow past them).
   if (rr->size() >= era_data_->num_sets()) era_data_.reset();

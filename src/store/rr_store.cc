@@ -100,7 +100,7 @@ StatusOr<OpenedRr> MapAndValidate(const std::string& path) {
                                 std::to_string(i));
     }
   }
-  // Weights feed straight into RrCollection::Add, whose CWM_CHECK would
+  // Weights feed straight into RrCollection::Append, whose CWM_CHECK would
   // abort the process; validating here turns a corrupt cache entry into
   // a miss instead. (NaN fails both comparisons.)
   for (uint64_t k = 0; k < header.num_sets; ++k) {

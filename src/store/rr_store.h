@@ -10,10 +10,10 @@
 //
 // Open is one mmap: the era's arrays are returned as spans aliasing the
 // mapping (RrEraData pins it alive), so nothing is copied until samples
-// are replayed into a collection. The inverted node->RR index is
-// intentionally not persisted — RrCollection rebuilds it lazily in
-// O(total members), and collections are usually extended after loading,
-// which would invalidate it anyway.
+// are replayed into a collection. No node->RR index is persisted, nor
+// kept by RrCollection: greedy selection lists only the candidate nodes
+// it needs, per call (rrset/node_selection.h), and collections are
+// usually extended after loading anyway.
 #ifndef CWM_STORE_RR_STORE_H_
 #define CWM_STORE_RR_STORE_H_
 

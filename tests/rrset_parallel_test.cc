@@ -1,7 +1,7 @@
 // Tests for the deterministic parallel RR-set pipeline: bit-identical
-// collections and seed sets across thread counts, CSR inverted-index
-// equivalence against a per-node reference, sharded-merge bookkeeping
-// (including empty RR sets), and the worker-indexed ParallelFor variant.
+// collections and seed sets across thread counts, CSR equivalence against
+// a per-set reference, sharded-merge bookkeeping (including empty RR
+// sets), and the worker-indexed ParallelFor variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,7 +41,7 @@ RrSourceFactory StandardSource(const Graph& g) {
 }
 
 /// Full structural equality of two collections: sizes, per-set members
-/// and weights, totals, and the inverted index.
+/// and weights, totals, and the raw CSR offsets.
 void ExpectSameCollection(const RrCollection& a, const RrCollection& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.TotalMembers(), b.TotalMembers());
@@ -55,13 +55,7 @@ void ExpectSameCollection(const RrCollection& a, const RrCollection& b) {
     EXPECT_EQ(a.Weight(id), b.Weight(id)) << "set " << id;
   }
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const auto ia = a.RrSetsOf(v);
-    const auto ib = b.RrSetsOf(v);
-    ASSERT_EQ(ia.size(), ib.size()) << "node " << v;
-    EXPECT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin()))
-        << "node " << v;
-  }
+  EXPECT_TRUE(std::ranges::equal(a.RawOffsets(), b.RawOffsets()));
 }
 
 TEST(RrPipelineTest, CollectionBitIdenticalAcrossThreadCounts) {
@@ -115,10 +109,11 @@ TEST(RrPipelineTest, ThreadCountZeroMeansHardwareAndStaysDeterministic) {
   ExpectSameCollection(rr_one, rr_auto);
 }
 
-TEST(RrCollectionTest, CsrIndexMatchesPerNodeReference) {
+TEST(RrCollectionTest, CsrMatchesPerSetReference) {
   Rng rng(5);
   RrCollection rr(40);
-  std::vector<std::vector<uint32_t>> reference(40);
+  std::vector<std::vector<NodeId>> reference;
+  std::vector<double> weights;
   for (int id = 0; id < 200; ++id) {
     std::vector<NodeId> members;
     for (NodeId v = 0; v < 40; ++v) {
@@ -127,24 +122,26 @@ TEST(RrCollectionTest, CsrIndexMatchesPerNodeReference) {
     const double w = rng.NextDouble();
     const uint32_t got = rr.Add(members, w);
     ASSERT_EQ(got, static_cast<uint32_t>(id));
-    for (NodeId v : members) {
-      reference[v].push_back(static_cast<uint32_t>(id));
-    }
-    // Interleave reads with appends: the lazy rebuild must always reflect
-    // every set added so far.
+    reference.push_back(members);
+    weights.push_back(w);
+    // Interleave reads with appends: every read reflects every set added
+    // so far.
     if (id % 67 == 0) {
-      const auto span = rr.RrSetsOf(id % 40);
-      EXPECT_EQ(span.size(), reference[id % 40].size());
+      const auto span = rr.Members(static_cast<uint32_t>(id / 2));
+      EXPECT_TRUE(std::ranges::equal(span, reference[id / 2]));
+      EXPECT_EQ(rr.RawOffsets().size(), reference.size() + 1);
     }
   }
-  for (NodeId v = 0; v < 40; ++v) {
-    const auto span = rr.RrSetsOf(v);
-    ASSERT_EQ(span.size(), reference[v].size()) << "node " << v;
-    EXPECT_TRUE(
-        std::equal(span.begin(), span.end(), reference[v].begin()))
-        << "node " << v;
-    EXPECT_TRUE(std::is_sorted(span.begin(), span.end()));
+  std::size_t total = 0;
+  for (uint32_t id = 0; id < rr.size(); ++id) {
+    EXPECT_TRUE(std::ranges::equal(rr.Members(id), reference[id]))
+        << "set " << id;
+    EXPECT_EQ(rr.Weight(id), weights[id]) << "set " << id;
+    EXPECT_EQ(rr.RawOffsets()[id], total) << "set " << id;
+    total += reference[id].size();
   }
+  EXPECT_EQ(rr.RawOffsets().back(), total);
+  EXPECT_EQ(rr.TotalMembers(), total);
 }
 
 TEST(RrCollectionTest, MergeMatchesSequentialAdd) {
@@ -191,10 +188,10 @@ TEST(RrCollectionTest, EmptySetsSurviveShardedMerge) {
   EXPECT_DOUBLE_EQ(rr.TotalWeight(), 3.5);
   EXPECT_TRUE(rr.Members(0).empty());
   EXPECT_TRUE(rr.Members(5).empty());
-  ASSERT_EQ(rr.RrSetsOf(2).size(), 2u);
-  EXPECT_EQ(rr.RrSetsOf(2)[0], 1u);
-  EXPECT_EQ(rr.RrSetsOf(2)[1], 4u);
-  EXPECT_TRUE(rr.RrSetsOf(0).empty());
+  const std::vector<NodeId> pair{2, 4};
+  EXPECT_TRUE(std::ranges::equal(rr.Members(1), pair));
+  EXPECT_TRUE(std::ranges::equal(rr.Members(4), pair));
+  EXPECT_TRUE(rr.Members(3).empty());
 }
 
 TEST(RrPipelineTest, AllEmptySamplesStillCountTowardTarget) {

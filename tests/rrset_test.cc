@@ -5,6 +5,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <queue>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/edge_prob.h"
@@ -15,6 +23,7 @@
 #include "rrset/node_selection.h"
 #include "rrset/prima_plus.h"
 #include "rrset/rr_collection.h"
+#include "rrset/rr_pipeline.h"
 #include "rrset/rr_sampler.h"
 #include "simulate/estimator.h"
 #include "coin_edge_graph.h"
@@ -28,7 +37,7 @@ UtilityConfig SingleItemUnit() {
   return std::move(b).Build().value();
 }
 
-TEST(RrCollectionTest, AddAndIndex) {
+TEST(RrCollectionTest, AddAndReadBack) {
   RrCollection rr(5);
   const std::vector<NodeId> m1{1, 2};
   const std::vector<NodeId> m2{2, 3};
@@ -37,10 +46,14 @@ TEST(RrCollectionTest, AddAndIndex) {
   EXPECT_EQ(rr.size(), 2u);
   EXPECT_EQ(rr.TotalMembers(), 4u);
   EXPECT_DOUBLE_EQ(rr.TotalWeight(), 1.5);
-  EXPECT_EQ(rr.RrSetsOf(2).size(), 2u);
-  EXPECT_EQ(rr.RrSetsOf(0).size(), 0u);
+  EXPECT_EQ(std::vector<NodeId>(rr.Members(0).begin(), rr.Members(0).end()),
+            m1);
+  EXPECT_EQ(std::vector<NodeId>(rr.Members(1).begin(), rr.Members(1).end()),
+            m2);
+  EXPECT_EQ(std::vector<uint64_t>(rr.RawOffsets().begin(),
+                                  rr.RawOffsets().end()),
+            (std::vector<uint64_t>{0, 2, 4}));
   EXPECT_DOUBLE_EQ(rr.Weight(1), 0.5);
-  EXPECT_EQ(rr.Members(1).size(), 2u);
 }
 
 TEST(RrCollectionTest, EmptySetsCountTowardSize) {
@@ -57,8 +70,62 @@ TEST(RrCollectionTest, ClearKeepsUniverse) {
   rr.Clear();
   EXPECT_EQ(rr.size(), 0u);
   EXPECT_EQ(rr.num_nodes(), 3u);
-  EXPECT_EQ(rr.RrSetsOf(1).size(), 0u);
+  EXPECT_EQ(rr.TotalMembers(), 0u);
+  EXPECT_EQ(rr.RawOffsets().size(), 1u);
   EXPECT_DOUBLE_EQ(rr.TotalWeight(), 0.0);
+  // The universe still bounds members after Clear().
+  EXPECT_EQ(rr.Add(std::vector<NodeId>{2}, 1.0), 0u);
+}
+
+std::vector<uint64_t> Bits(std::span<const double> values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+TEST(RrCollectionTest, AppendMatchesAddBitwise) {
+  // A source era in CSR form, as a .cwr file stores it.
+  Rng rng(19);
+  std::vector<uint64_t> offsets{0};
+  std::vector<NodeId> members;
+  std::vector<double> weights;
+  for (int k = 0; k < 300; ++k) {
+    if (!rng.NextBernoulli(0.2)) {  // every fifth set or so stays empty
+      for (NodeId v = 0; v < 30; ++v) {
+        if (rng.NextBernoulli(0.2)) members.push_back(v);
+      }
+    }
+    offsets.push_back(members.size());
+    weights.push_back(k % 7 == 0 ? 1.0 : rng.NextDouble());
+  }
+  const std::span<const uint64_t> all_offsets = offsets;
+  const std::span<const NodeId> all_members = members;
+  const std::span<const double> all_weights = weights;
+
+  RrCollection by_add(30);
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    by_add.Add(all_members.subspan(offsets[k], offsets[k + 1] - offsets[k]),
+               weights[k]);
+  }
+  // The same sets in ranges cut the way RrPipeline serves a cached era:
+  // an empty range, a one-set range, and ranges starting mid-era.
+  RrCollection by_append(30);
+  const std::size_t cuts[] = {0, 0, 1, 97, 98, 250, 300};
+  for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    const std::size_t from = cuts[i], to = cuts[i + 1];
+    const auto range = all_offsets.subspan(from, to - from + 1);
+    by_append.Append(range,
+                     all_members.subspan(range.front(),
+                                         range.back() - range.front()),
+                     all_weights.subspan(from, to - from));
+  }
+
+  ASSERT_EQ(by_append.size(), by_add.size());
+  EXPECT_TRUE(std::ranges::equal(by_append.RawOffsets(), by_add.RawOffsets()));
+  EXPECT_TRUE(std::ranges::equal(by_append.RawMembers(), by_add.RawMembers()));
+  EXPECT_EQ(Bits(by_append.RawWeights()), Bits(by_add.RawWeights()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(by_append.TotalWeight()),
+            std::bit_cast<uint64_t>(by_add.TotalWeight()));
 }
 
 TEST(NodeSelectionTest, PicksGreedyOptimal) {
@@ -122,10 +189,303 @@ TEST(NodeSelectionTest, MatchesBruteForceOnRandomInstances) {
     double best = -1.0;
     for (NodeId v = 0; v < 6; ++v) {
       double w = 0;
-      for (uint32_t id : rr.RrSetsOf(v)) w += rr.Weight(id);
+      for (uint32_t id = 0; id < rr.size(); ++id) {
+        const auto set = rr.Members(id);
+        if (std::find(set.begin(), set.end(), v) != set.end()) {
+          w += rr.Weight(id);
+        }
+      }
       best = std::max(best, w);
     }
     EXPECT_NEAR(sel.CoveredAt(1), best, 1e-9);
+  }
+}
+
+/// The lazy greedy as SelectMaxCoverage ran it over a whole node -> RR
+/// index: every node's RR ids in ascending order, gains summed along
+/// them, every positive-gain node in the heap from the start.
+/// SelectMaxCoverage lists only candidate tiers and must match it bit for
+/// bit.
+GreedySelection ReferenceSelectMaxCoverage(const RrCollection& rr,
+                                           std::size_t budget) {
+  const std::size_t n = rr.num_nodes();
+  budget = std::min(budget, n);
+  std::vector<std::vector<uint32_t>> sets_of(n);
+  for (uint32_t id = 0; id < rr.size(); ++id) {
+    for (NodeId v : rr.Members(id)) sets_of[v].push_back(id);
+  }
+  std::vector<double> gain(n, 0.0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (uint32_t id : sets_of[v]) gain[v] += rr.Weight(id);
+  }
+  std::vector<char> covered(rr.size(), 0);
+  std::vector<char> taken(n, 0);
+
+  using Entry = std::pair<double, NodeId>;
+  auto cmp = [](const Entry& a, const Entry& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
+  for (NodeId v = 0; v < n; ++v) {
+    if (gain[v] > 0.0) heap.push({gain[v], v});
+  }
+
+  GreedySelection out;
+  double covered_weight = 0.0;
+  while (out.seeds.size() < budget && !heap.empty()) {
+    const auto [g, v] = heap.top();
+    heap.pop();
+    if (taken[v]) continue;
+    if (g > gain[v] + 1e-12) {
+      if (gain[v] > 0.0) heap.push({gain[v], v});
+      continue;
+    }
+    taken[v] = 1;
+    covered_weight += gain[v];
+    out.seeds.push_back(v);
+    out.covered_prefix.push_back(covered_weight);
+    for (uint32_t id : sets_of[v]) {
+      if (covered[id]) continue;
+      covered[id] = 1;
+      const double w = rr.Weight(id);
+      for (NodeId u : rr.Members(id)) gain[u] -= w;
+    }
+  }
+  for (NodeId v = 0; out.seeds.size() < budget && v < n; ++v) {
+    if (!taken[v]) {
+      taken[v] = 1;
+      out.seeds.push_back(v);
+      out.covered_prefix.push_back(covered_weight);
+    }
+  }
+  return out;
+}
+
+/// SelectMaxCoverage against the reference at each budget: same seeds,
+/// same covered_prefix bits.
+void ExpectMatchesReference(const RrCollection& rr,
+                            std::initializer_list<std::size_t> budgets,
+                            const std::string& what) {
+  for (std::size_t budget : budgets) {
+    const GreedySelection got = SelectMaxCoverage(rr, budget);
+    const GreedySelection want = ReferenceSelectMaxCoverage(rr, budget);
+    ASSERT_EQ(got.seeds, want.seeds) << what << ", budget " << budget;
+    ASSERT_EQ(Bits(got.covered_prefix), Bits(want.covered_prefix))
+        << what << ", budget " << budget;
+  }
+}
+
+/// Up to `count` members drawn by `draw()`, duplicates dropped (an RR set
+/// holds each node once).
+template <typename Draw>
+std::vector<NodeId> DistinctSet(int count, Draw draw) {
+  std::vector<NodeId> set;
+  for (int i = 0; i < count; ++i) {
+    const NodeId v = draw();
+    if (std::find(set.begin(), set.end(), v) == set.end()) set.push_back(v);
+  }
+  return set;
+}
+
+/// Up to `count` members v < n, biased toward small ids (skewed gains,
+/// like RR sets on a heavy-tailed graph).
+std::vector<NodeId> SkewedSet(Rng& rng, std::size_t n, int count) {
+  return DistinctSet(count, [&] {
+    const double u = rng.NextDouble();
+    return static_cast<NodeId>(static_cast<double>(n) * u * u * u);
+  });
+}
+
+TEST(NodeSelectionReferenceTest, UnitWeights) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    RrCollection rr(600);
+    for (int k = 0; k < 4000; ++k) {
+      rr.Add(SkewedSet(rng, 600, 1 + static_cast<int>(rng.NextBounded(12))),
+             1.0);
+    }
+    ExpectMatchesReference(rr, {1, 5, 16, 40},
+                           "unit weights, seed " + std::to_string(seed));
+  }
+}
+
+TEST(NodeSelectionReferenceTest, FractionalWeightsIncludingTinyOnes) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(100 + seed);
+    RrCollection rr(800);
+    for (int k = 0; k < 5000; ++k) {
+      // Weights in [0, 1]: exact 0 and 1, plain fractions, and some below
+      // the stale-entry tolerance of 1e-12.
+      const uint64_t kind = rng.NextBounded(10);
+      const double w = kind == 0   ? 0.0
+                       : kind == 1 ? 1.0
+                       : kind <= 3 ? 1e-12 * rng.NextDouble()
+                                   : rng.NextDouble();
+      rr.Add(SkewedSet(rng, 800, 1 + static_cast<int>(rng.NextBounded(10))),
+             w);
+    }
+    ExpectMatchesReference(rr, {1, 7, 30, 120},
+                           "weights in [0,1], seed " + std::to_string(seed));
+  }
+  // Only tiny weights: every gain sits below the tolerance.
+  Rng rng(99);
+  RrCollection tiny(300);
+  for (int k = 0; k < 2000; ++k) {
+    tiny.Add(SkewedSet(rng, 300, 1 + static_cast<int>(rng.NextBounded(6))),
+             1e-13 * rng.NextDouble());
+  }
+  ExpectMatchesReference(tiny, {1, 10, 64}, "tiny weights only");
+}
+
+TEST(NodeSelectionReferenceTest, HeavyGainTies) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(200 + seed);
+    RrCollection rr(400);
+    for (int k = 0; k < 3000; ++k) {
+      // Uniform members and dyadic weights: sums are exact, so many
+      // nodes share a gain and the id tie-break decides.
+      const int size = 1 + static_cast<int>(rng.NextBounded(3));
+      const std::vector<NodeId> set = DistinctSet(
+          size, [&] { return static_cast<NodeId>(rng.NextBounded(400)); });
+      rr.Add(set, seed % 2 == 0 ? 1.0 : 0.25 * (1 + rng.NextBounded(4)));
+    }
+    ExpectMatchesReference(rr, {1, 10, 50, 100},
+                           "ties, seed " + std::to_string(seed));
+  }
+}
+
+TEST(NodeSelectionReferenceTest, TiesAcrossTheTierBoundary) {
+  // Node v sits in (v % 3) + 1 singleton sets: 2,000 nodes tie at the top
+  // gain, interleaved in id order with lower gains, so a tier holds the
+  // smallest-id nodes of a tie group only if the tier is cut by id too.
+  const std::size_t n = 6000;
+  RrCollection rr(n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId copy = 0; copy <= v % 3; ++copy) {
+      rr.Add(std::vector<NodeId>{v}, 1.0);
+    }
+  }
+  ExpectMatchesReference(rr, {1, 10, 40, 100}, "singleton ties");
+}
+
+TEST(NodeSelectionReferenceTest, EmptySets) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(300 + seed);
+    RrCollection rr(500);
+    for (int k = 0; k < 4000; ++k) {
+      if (rng.NextBernoulli(0.4)) {
+        rr.Add(std::vector<NodeId>{}, 1.0);  // a zeroed marginal sample
+      } else {
+        rr.Add(SkewedSet(rng, 500, 1 + static_cast<int>(rng.NextBounded(8))),
+               rng.NextDouble());
+      }
+    }
+    ExpectMatchesReference(rr, {1, 12, 60},
+                           "empty sets, seed " + std::to_string(seed));
+  }
+  RrCollection all_empty(50);
+  for (int k = 0; k < 100; ++k) all_empty.Add(std::vector<NodeId>{}, 1.0);
+  ExpectMatchesReference(all_empty, {0, 1, 50}, "only empty sets");
+  ExpectMatchesReference(RrCollection(20), {0, 3, 20}, "no sets");
+}
+
+TEST(NodeSelectionReferenceTest, BudgetBeyondPositiveGainNodes) {
+  // Only 30 of 400 nodes ever appear: the filler path pads with the
+  // smallest untaken ids.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(400 + seed);
+    RrCollection rr(400);
+    for (int k = 0; k < 600; ++k) {
+      rr.Add(DistinctSet(3,
+                         [&] {
+                           return static_cast<NodeId>(
+                               13 * rng.NextBounded(30) + 5);
+                         }),
+             rng.NextDouble());
+    }
+    ExpectMatchesReference(rr, {29, 30, 31, 50, 400, 1000},
+                           "filler, seed " + std::to_string(seed));
+  }
+}
+
+TEST(NodeSelectionReferenceTest, TinyUniverseAgainstTheBudget) {
+  // The first tier already reaches an eighth of the positive-gain nodes,
+  // so every one is listed in one pass.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(500 + seed);
+    RrCollection small(40);
+    for (int k = 0; k < 500; ++k) {
+      small.Add(SkewedSet(rng, 40, 1 + static_cast<int>(rng.NextBounded(6))),
+                rng.NextDouble());
+    }
+    ExpectMatchesReference(small, {1, 20, 39, 40},
+                           "n=40, seed " + std::to_string(seed));
+    RrCollection mid(2000);
+    for (int k = 0; k < 6000; ++k) {
+      mid.Add(SkewedSet(rng, 2000, 1 + static_cast<int>(rng.NextBounded(20))),
+              1.0);
+    }
+    ExpectMatchesReference(mid, {50, 100, 150},
+                           "n=2000, seed " + std::to_string(seed));
+  }
+}
+
+TEST(NodeSelectionReferenceTest, FlatGainsExpandSeveralTiers) {
+  // 500 hubs share the same eight heavy sets, so each ranks near the top
+  // at its initial gain; taking one covers those sets and leaves the rest
+  // stale. The greedy then pops every hub before it reaches the flat
+  // background, which takes tiers of 64, 128, 256 and 512 candidates.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(600 + seed);
+    const std::size_t n = 50000;
+    RrCollection rr(n);
+    std::vector<NodeId> hubs;
+    for (NodeId h = 0; h < 500; ++h) hubs.push_back(h * 97 + 11);
+    for (int k = 0; k < 8; ++k) rr.Add(hubs, 1.0);
+    for (int k = 0; k < 20000; ++k) {
+      const std::vector<NodeId> set = DistinctSet(
+          3, [&] { return static_cast<NodeId>(rng.NextBounded(n)); });
+      rr.Add(set, seed == 3 ? rng.NextDouble() : 1.0);
+    }
+    ExpectMatchesReference(rr, {1, 2, 10, 40},
+                           "flat gains, seed " + std::to_string(seed));
+  }
+}
+
+TEST(NodeSelectionReferenceTest, ImmCollectionsOnPreferentialAttachment) {
+  // Collections as the IMM driver grows them: standard sets on a
+  // weighted-cascade Barabasi-Albert graph, and weighted sets (SupGRD's
+  // Algorithm 7 sampler) whose weights fall in [0, 1].
+  const Graph g = WithWeightedCascade(BarabasiAlbert(3000, 3, 61));
+  const RrSourceFactory standard = [&g]() -> RrSampleFn {
+    auto sampler = std::make_shared<RrSampler>(g);
+    return [sampler](Rng& rng, std::vector<NodeId>* out) {
+      sampler->SampleStandard(rng, out);
+      return 1.0;
+    };
+  };
+  UtilityConfigBuilder cb(2);
+  cb.SetItemValue(0, 1.0).SetItemValue(1, 0.4);
+  const UtilityConfig c = std::move(cb).Build().value();
+  Allocation sp(2);
+  for (NodeId v = 0; v < 3000; v += 37) sp.Add(v, 1);
+  const auto fixed = std::make_shared<FixedAllocationIndex>(
+      FixedAllocationIndex::Build(3000, c, sp));
+  const RrSourceFactory weighted = [&g, fixed]() -> RrSampleFn {
+    auto sampler = std::make_shared<RrSampler>(g);
+    return [sampler, fixed](Rng& rng, std::vector<NodeId>* out) {
+      return sampler->SampleWeighted(rng, *fixed, 1.0, out);
+    };
+  };
+  for (const auto& [source, what] :
+       {std::pair{standard, "standard"}, std::pair{weighted, "weighted"}}) {
+    RrPipeline pipeline(source, /*seed=*/71, /*num_threads=*/2);
+    RrCollection rr(g.num_nodes());
+    pipeline.ExtendTo(&rr, 3000);
+    ExpectMatchesReference(rr, {1, 10, 50}, std::string(what) + ", 3k sets");
+    pipeline.ExtendTo(&rr, 30000);
+    ExpectMatchesReference(rr, {1, 10, 50, 150},
+                           std::string(what) + ", 30k sets");
   }
 }
 
