@@ -145,7 +145,7 @@ BENCHMARK(BM_RrPipelineSampling)
 // once, amortized over the batch — the cost shape of MaxGRD's argmax and
 // greedyWM's CELF population. `items_per_second` counts candidates, so
 // per-candidate throughput rising with the batch arg is the win the CI
-// gate (scripts/check_batch_speedup.py) asserts: batch 16 >= 3x batch 1.
+// gate (scripts/perf_gate.py) asserts: batch 16 >= 3x batch 1.
 // Single estimator thread for stable cross-arm ratios.
 void BM_WelfareBatch(benchmark::State& state) {
   const Graph& g = BenchGraph();
@@ -194,7 +194,7 @@ BENCHMARK(BM_WelfareBatch)
 // StatsBatch builds the packed set / snapshot pool), so the loop
 // measures pure per-world diffusion throughput — items/s counts
 // (worlds x candidates) evaluated per second. Arg pair: (packed 0/1,
-// worlds). The CI gate (scripts/check_packed_speedup.py) asserts
+// worlds). The CI gate (scripts/perf_gate.py) asserts
 // packed >= 8x scalar at equal world count. Single estimator thread
 // for stable cross-arm ratios.
 void BM_PackedDiffusion(benchmark::State& state) {
@@ -355,7 +355,7 @@ BENCHMARK(BM_EdgeListParse)->Unit(benchmark::kMillisecond);
 // Cold vs. warm "graph availability" on an Orkut-like network (Table 2
 // density at a CI-sized node count): regenerating + re-weighting from the
 // factory, versus one zero-copy mmap open of the binary store image. The
-// CI gate (scripts/check_store_speedup.py) asserts >= 10x.
+// CI gate (scripts/perf_gate.py) asserts >= 10x.
 constexpr std::size_t kStoreBenchNodes = 20000;
 
 const std::string& StoreBenchFile() {
@@ -419,7 +419,7 @@ BENCHMARK(BM_GraphStoreOpenOrkutLike)->Unit(benchmark::kMillisecond);
 //    era patch is near-free. Uniform p on the heavy-tailed OrkutLike
 //    shape would NOT qualify — hubs drive the size-biased branching
 //    ratio p * E[d^2]/E[d] supercritical even at p = 0.01 — hence the
-//    ER shape here. The CI gate (scripts/check_delta_speedup.py)
+//    ER shape here. The CI gate (scripts/perf_gate.py)
 //    asserts incremental >= 10x full at the 10-edit arg on this pair.
 //  * Weighted cascade, prob = 1/in-degree, on the OrkutLike shape (the
 //    paper's model): the branching process is critical, so a few giant
@@ -612,7 +612,7 @@ BENCHMARK(BM_ApplyDeltaFullRebuildWc)
 // default — must cost one relaxed load); Arg(1) = recorder installed and
 // recording (the priced-in enabled cost, informational); Arg(2) = the
 // same work with no instrumentation site at all (baseline). The CI gate
-// (scripts/check_trace_overhead.py) asserts Arg(0) is within 2% of
+// (scripts/perf_gate.py) asserts Arg(0) is within 2% of
 // Arg(2)'s throughput.
 constexpr int kTraceWorkRounds = 512;
 

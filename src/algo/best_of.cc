@@ -48,6 +48,12 @@ class BestOfAllocator final : public Allocator {
     if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
       return cancelled;
     }
+    // The SeqGRD arm ranks Σb nodes; the MaxGRD arm's max b fits in that.
+    const std::size_t pickable = PrimaPlusPickable(*request.graph, request);
+    if (Status fits = CheckRankingFits(TotalBudgetOf(request), pickable);
+        !fits.ok()) {
+      return fits;
+    }
     ReportProgress(request, "SeqGRD + MaxGRD arms");
     const char* chosen = nullptr;
     result->allocation =

@@ -113,6 +113,11 @@ class MaxGrdAllocator final : public Allocator {
     if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
       return cancelled;
     }
+    const std::size_t pickable = PrimaPlusPickable(*request.graph, request);
+    if (Status fits = CheckRankingFits(MaxBudgetOf(request), pickable);
+        !fits.ok()) {
+      return fits;
+    }
     result->allocation =
         MaxGrd(*request.graph, *request.config, FixedOf(request),
                request.items, request.budgets, request.params,

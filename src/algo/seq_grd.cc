@@ -147,6 +147,11 @@ class SeqGrdAllocator final : public Allocator {
     if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
       return cancelled;
     }
+    const std::size_t pickable = PrimaPlusPickable(*request.graph, request);
+    if (Status fits = CheckRankingFits(TotalBudgetOf(request), pickable);
+        !fits.ok()) {
+      return fits;
+    }
     result->allocation =
         SeqGrd(*request.graph, *request.config, FixedOf(request),
                request.items, request.budgets, request.params,

@@ -39,7 +39,6 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
-#include "simulate/world_pool.h"
 #include "support/status.h"
 
 namespace cwm {
@@ -111,7 +110,7 @@ struct AllocateRequest {
 };
 
 /// Everything a run produces. Allocators fill the first block; the
-/// engine adds evaluation, timing, and telemetry.
+/// engine adds evaluation and timing.
 struct AllocateResult {
   /// The chosen allocation over `items` only (union with S_P to deploy).
   Allocation allocation;
@@ -134,9 +133,6 @@ struct AllocateResult {
   /// selection, Monte-Carlo estimation — obs/phase.h). Collected on the
   /// calling thread by Engine::Allocate; zero for direct allocator calls.
   PhaseTimes phases;
-  /// Keyed snapshot-pool telemetry after this call (engine-lifetime
-  /// counters; pool_reuses > 0 means cross-estimator sharing happened).
-  WorldPoolStoreStats pool_stats;
 };
 
 /// One allocation algorithm behind the stable API. Implementations are
@@ -186,6 +182,43 @@ inline void ReportProgress(const AllocateRequest& request,
 inline const Allocation& FixedOf(const AllocateRequest& request) {
   static const Allocation kEmpty;
   return request.fixed != nullptr ? *request.fixed : kEmpty;
+}
+
+/// Shared adapter helper: Σb over the allocated items — the ranking
+/// length of the allocators that give every seed its own node.
+inline std::size_t TotalBudgetOf(const AllocateRequest& request) {
+  std::size_t total = 0;
+  for (ItemId i : request.items) {
+    total += static_cast<std::size_t>(request.budgets[i]);
+  }
+  return total;
+}
+
+/// Shared adapter helper: the largest allocated budget — the ranking
+/// length of MaxGRD, whose items all draw from one prefix.
+inline std::size_t MaxBudgetOf(const AllocateRequest& request) {
+  std::size_t largest = 0;
+  for (ItemId i : request.items) {
+    largest = std::max(largest, static_cast<std::size_t>(request.budgets[i]));
+  }
+  return largest;
+}
+
+/// Shared adapter helper: FailedPrecondition when a ranking of `seeds`
+/// distinct nodes cannot be drawn from the `pickable` ones.
+inline Status CheckRankingFits(std::size_t seeds, std::size_t pickable) {
+  if (seeds <= pickable) return Status::OK();
+  return Status::FailedPrecondition(
+      "ranking needs " + std::to_string(seeds) + " distinct nodes but " +
+      "only " + std::to_string(pickable) + " can be picked");
+}
+
+/// Shared adapter helper: the nodes a PRIMA+ ranking over `graph` may
+/// pick for `request` — every node outside the fixed allocation S_P.
+inline std::size_t PrimaPlusPickable(const Graph& graph,
+                                     const AllocateRequest& request) {
+  const std::size_t fixed = FixedOf(request).SeedNodes().size();
+  return graph.num_nodes() > fixed ? graph.num_nodes() - fixed : 0;
 }
 
 /// Shared adapter helper: the request's items in decreasing expected

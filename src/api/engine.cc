@@ -111,11 +111,11 @@ StatusOr<std::unique_ptr<Engine>> Engine::Open(const NetworkSpec& network,
 
 namespace {
 
-/// Structural validation of a request against the engine's configuration,
-/// so malformed embedder input fails with a Status instead of reaching
-/// the algorithms' unchecked indexing / CWM_CHECK aborts.
+/// Structural validation of a request against the engine's configuration
+/// and graph, so malformed embedder input fails with a Status instead of
+/// reaching the algorithms' unchecked indexing / CWM_CHECK aborts.
 Status ValidateRequest(const AllocateRequest& request,
-                       const UtilityConfig& config) {
+                       const UtilityConfig& config, std::size_t num_nodes) {
   const int m = config.num_items();
   if (request.items.empty()) {
     return Status::InvalidArgument("AllocateRequest: no items to allocate");
@@ -138,10 +138,28 @@ Status ValidateRequest(const AllocateRequest& request,
       return Status::InvalidArgument("AllocateRequest: negative budget");
     }
   }
+  // No item can have more distinct seed nodes than the graph has. (Sums
+  // above the node count are the allocators' call: several rank that
+  // many distinct nodes and report FailedPrecondition, the rest reuse
+  // nodes across items.)
+  for (ItemId i : request.items) {
+    if (static_cast<std::size_t>(request.budgets[i]) > num_nodes) {
+      return Status::InvalidArgument(
+          "AllocateRequest: budget " + std::to_string(request.budgets[i]) +
+          " exceeds the graph's " + std::to_string(num_nodes) + " nodes");
+    }
+  }
   if (request.fixed != nullptr && request.fixed->num_items() != 0 &&
       request.fixed->num_items() != m) {
     return Status::InvalidArgument(
         "AllocateRequest: fixed allocation item count mismatch");
+  }
+  if (request.fixed != nullptr) {
+    const std::vector<NodeId> fixed_nodes = request.fixed->SeedNodes();
+    if (!fixed_nodes.empty() && fixed_nodes.back() >= num_nodes) {
+      return Status::InvalidArgument(
+          "AllocateRequest: fixed allocation seeds a node outside the graph");
+    }
   }
   return Status::OK();
 }
@@ -197,14 +215,16 @@ Status Engine::Allocate(AllocateRequest request,
     return Status::NotFound(std::string("no allocator registered for '") +
                             AlgoName(request.algo) + "'");
   }
-  if (Status valid = ValidateRequest(request, *config_); !valid.ok()) {
+  // Pin the graph state current right now: a concurrent ApplyDelta swap
+  // never retargets an allocation mid-run.
+  const std::shared_ptr<const GraphState> state = CurrentState();
+  if (Status valid =
+          ValidateRequest(request, *config_, state->graph->num_nodes());
+      !valid.ok()) {
     return valid;
   }
   *result = AllocateResult{};
 
-  // Pin the graph state current right now: a concurrent ApplyDelta swap
-  // never retargets an allocation mid-run.
-  const std::shared_ptr<const GraphState> state = CurrentState();
   // Bind the engine's long-lived state into the request, never
   // overriding caller-pinned values.
   BindRequest(&request, *state);
@@ -226,7 +246,6 @@ Status Engine::Allocate(AllocateRequest request,
       // engine failure: report a skipped result the caller can record.
       result->skipped = true;
       result->skip_reason = run.message();
-      result->pool_stats = pool_store_.stats();
       result->phases = phases.times();
       return Status::OK();
     }
@@ -262,7 +281,6 @@ Status Engine::Allocate(AllocateRequest request,
       return cancelled;
     }
   }
-  result->pool_stats = pool_store_.stats();
   result->phases = phases.times();
   return Status::OK();
 }
@@ -275,12 +293,8 @@ Status Engine::AllocateBatch(AllocateRequest request,
   }
   results->clear();
 
-  const bool shares_ranking = request.algo == AlgoKind::kMaxGrd ||
-                              request.algo == AlgoKind::kSeqGrd ||
-                              request.algo == AlgoKind::kSeqGrdNm;
-  if (!shares_ranking) {
-    // No cross-point sharing for this algorithm: one Allocate per point,
-    // bit-identical to the loop this call replaces.
+  // One Allocate per point, bit-identical to the loop this call replaces.
+  const auto point_by_point = [&]() -> Status {
     results->resize(budget_points.size());
     for (std::size_t p = 0; p < budget_points.size(); ++p) {
       AllocateRequest point = request;
@@ -291,16 +305,26 @@ Status Engine::AllocateBatch(AllocateRequest request,
       }
     }
     return Status::OK();
-  }
+  };
+  const bool shares_ranking = request.algo == AlgoKind::kMaxGrd ||
+                              request.algo == AlgoKind::kSeqGrd ||
+                              request.algo == AlgoKind::kSeqGrdNm;
+  // No cross-point sharing for this algorithm.
+  if (!shares_ranking) return point_by_point();
 
   // Validate every point up front: one bad point fails the whole batch
   // before any sampling happens. The batch algorithms additionally
   // require a positive budget per allocated item (their prefix blocks
   // have no zero-size form).
+  const std::shared_ptr<const GraphState> state = CurrentState();
+  const std::size_t pickable = PrimaPlusPickable(*state->graph, request);
+  bool ranking_fits = true;
   for (const BudgetVector& budgets : budget_points) {
     AllocateRequest point = request;
     point.budgets = budgets;
-    if (Status valid = ValidateRequest(point, *config_); !valid.ok()) {
+    if (Status valid =
+            ValidateRequest(point, *config_, state->graph->num_nodes());
+        !valid.ok()) {
       return valid;
     }
     for (ItemId i : request.items) {
@@ -309,10 +333,17 @@ Status Engine::AllocateBatch(AllocateRequest request,
             "AllocateBatch: every allocated item needs budget >= 1");
       }
     }
+    const std::size_t seeds = request.algo == AlgoKind::kMaxGrd
+                                  ? MaxBudgetOf(point)
+                                  : TotalBudgetOf(point);
+    ranking_fits = ranking_fits && seeds <= pickable;
   }
+  // A point whose ranking would need more nodes than PRIMA+ can pick
+  // leaves no ranking to share: run point by point, where Allocate
+  // reports that point skipped.
+  if (!ranking_fits) return point_by_point();
 
   request.budgets = budget_points.front();
-  const std::shared_ptr<const GraphState> state = CurrentState();
   BindRequest(&request, *state);
   if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
     return cancelled;
@@ -372,7 +403,6 @@ Status Engine::AllocateBatch(AllocateRequest request,
   }
 
   const PhaseTimes batch_phases = phases.times();
-  const WorldPoolStoreStats pool_stats = pool_store_.stats();
   for (std::size_t p = 0; p < budget_points.size(); ++p) {
     AllocateResult& result = (*results)[p];
     result.allocation = std::move(allocations[p]);
@@ -385,7 +415,6 @@ Status Engine::AllocateBatch(AllocateRequest request,
     result.evaluate_seconds =
         evaluate_seconds / static_cast<double>(budget_points.size());
     result.phases = batch_phases;
-    result.pool_stats = pool_stats;
   }
   return Status::OK();
 }

@@ -13,7 +13,8 @@
 // engine's cache/hash/pool-store into the request (without overriding
 // caller-pinned values), times the allocator, evaluates the resulting
 // allocation's welfare on the request's evaluation estimator, and reports
-// pool/cache telemetry. Results are bit-identical to hand-wiring the
+// per-phase timing. Pool and cache events are counted in the metrics
+// registry (pool.*, cache.*). Results are bit-identical to hand-wiring the
 // underlying algorithm: the engine only shares state that never changes
 // results (artifact cache, snapshot pools).
 //
@@ -92,11 +93,15 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Runs the registered allocator named by request.algo and fills
-  /// `result` (allocation, diagnostics, welfare stats, timing,
-  /// telemetry). FailedPrecondition from the allocator becomes a
-  /// *skipped* result with OK status (the caller decides severity);
-  /// unknown kinds, cancellation, and other failures return non-OK and
-  /// leave `result` unspecified.
+  /// `result` (allocation, diagnostics, welfare stats, timing).
+  /// FailedPrecondition from the allocator (e.g. SupGRD without a
+  /// superior item, or budgets needing a ranking longer than the nodes
+  /// the allocator can pick) becomes a *skipped* result with OK status
+  /// (the caller decides severity). A malformed request — including an
+  /// item budget above the graph's node count or a fixed seed outside
+  /// the graph — returns InvalidArgument; unknown kinds, cancellation,
+  /// and other failures return non-OK too and leave `result`
+  /// unspecified.
   Status Allocate(AllocateRequest request, AllocateResult* result) const;
 
   /// Runs request.algo once per budget point (request.budgets is ignored;
@@ -107,7 +112,9 @@ class Engine {
   /// are NOT bit-identical to per-point Allocate calls when the batch has
   /// more than one point (the shared ranking samples under the union of
   /// levels). Every other algorithm falls back to one Allocate per point,
-  /// bit-identical to the loop it replaces.
+  /// bit-identical to the loop it replaces — and so does a batch with a
+  /// point whose ranking would need more nodes than PRIMA+ can pick
+  /// (Allocate reports that point skipped).
   Status AllocateBatch(AllocateRequest request,
                        std::span<const BudgetVector> budget_points,
                        std::vector<AllocateResult>* results) const;
@@ -134,9 +141,6 @@ class Engine {
   /// Delta logs applied over the engine's lifetime (provenance of the
   /// current graph relative to the one the engine opened with).
   std::vector<DeltaChainLink> delta_chain() const;
-
-  /// Keyed snapshot-pool telemetry (engine lifetime).
-  WorldPoolStoreStats pool_stats() const { return pool_store_.stats(); }
 
  private:
   /// One immutable graph identity: the engine swaps whole states on

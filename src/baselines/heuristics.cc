@@ -135,9 +135,11 @@ class HeuristicRankAllocator final : public Allocator {
     if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
       return cancelled;
     }
-    std::size_t total_budget = 0;
-    for (ItemId i : request.items) {
-      total_budget += static_cast<std::size_t>(request.budgets[i]);
+    const std::size_t total_budget = TotalBudgetOf(request);
+    if (Status fits =
+            CheckRankingFits(total_budget, request.graph->num_nodes());
+        !fits.ok()) {
+      return fits;
     }
     const Graph& graph = *request.graph;
     std::vector<NodeId> ranking;

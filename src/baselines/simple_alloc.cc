@@ -105,6 +105,11 @@ class PositionalAllocator final : public Allocator {
     if (Status cancelled = CheckCancelled(request); !cancelled.ok()) {
       return cancelled;
     }
+    const std::size_t pickable = PrimaPlusPickable(*request.graph, request);
+    if (Status fits = CheckRankingFits(TotalBudgetOf(request), pickable);
+        !fits.ok()) {
+      return fits;
+    }
     BudgetVector level_budgets;
     int total_budget = 0;
     for (ItemId i : request.items) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace cwm {
 
@@ -47,6 +48,12 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
              .first;
   }
   return *it->second;
+}
+
+uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name) {
@@ -122,32 +129,13 @@ void MetricsRegistry::ResetForTest() {
   for (const auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-namespace {
-
-void AppendQuoted(std::string* out, const std::string& s) {
-  *out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') *out += '\\';
-    *out += c;
-  }
-  *out += '"';
-}
-
-void AppendDouble(std::string* out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-}  // namespace
-
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
     if (!first) out += ",";
     first = false;
-    AppendQuoted(&out, name);
+    AppendJsonString(&out, name);
     out += ":" + std::to_string(value);
   }
   out += "},\"gauges\":{";
@@ -155,9 +143,9 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out += ",";
     first = false;
-    AppendQuoted(&out, name);
+    AppendJsonString(&out, name);
     out += ":";
-    AppendDouble(&out, value);
+    AppendJsonNumber(&out, value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -165,16 +153,16 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
        snapshot.histograms) {
     if (!first) out += ",";
     first = false;
-    AppendQuoted(&out, histogram.name);
+    AppendJsonString(&out, histogram.name);
     out += ":{\"count\":" + std::to_string(histogram.total_count) +
            ",\"sum\":";
-    AppendDouble(&out, histogram.sum);
+    AppendJsonNumber(&out, histogram.sum);
     out += ",\"buckets\":[";
     for (std::size_t i = 0; i < histogram.counts.size(); ++i) {
       if (i > 0) out += ",";
       out += "{\"le\":";
       if (i < histogram.bounds.size()) {
-        AppendDouble(&out, histogram.bounds[i]);
+        AppendJsonNumber(&out, histogram.bounds[i]);
       } else {
         out += "\"inf\"";
       }

@@ -3,6 +3,11 @@
 // across layers (the `cache.*`, `pool.*`, `simulate.*`, `api.*`,
 // `scenario.*` families — see the README's Observability section).
 //
+// The registry is the only count: no layer keeps a per-instance copy of
+// these events. A per-run view (cwm_run's per-sweep `cache:` and `pools:`
+// lines, a test's own cache) is the difference of counter reads taken
+// before and after the run.
+//
 // Hot paths cache the instrument reference once and then touch a single
 // relaxed atomic:
 //
@@ -105,6 +110,10 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter& GetCounter(std::string_view name);
+  /// The named counter's value, 0 when none is registered. Unlike
+  /// GetCounter it never registers one, so a read leaves the set of
+  /// instruments (and the `--metrics` dump) unchanged.
+  uint64_t CounterValue(std::string_view name) const;
   Gauge& GetGauge(std::string_view name);
   /// First registration fixes the bucket bounds; later calls under the
   /// same name must pass identical bounds (aborts otherwise — two sites

@@ -1,66 +1,40 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <ostream>
 #include <string>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace cwm {
 
 namespace {
 
-/// JSON string escaping for event/arg names. Names are expected to be
-/// plain identifiers, but a stray quote must not corrupt the file.
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
+/// Appends one arg's value. Names and string values are expected to be
+/// plain identifiers, but a stray quote must not corrupt the file, so
+/// both go through the escaping writer.
 void AppendArgValue(std::string* out, const TraceArg& arg) {
-  char buf[40];
   switch (arg.kind) {
     case TraceArg::Kind::kNone:
       *out += "null";
       return;
     case TraceArg::Kind::kInt:
-      std::snprintf(buf, sizeof(buf), "%" PRId64, arg.int_value);
-      *out += buf;
+      AppendJsonNumber(out, arg.int_value);
       return;
     case TraceArg::Kind::kUint:
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, arg.uint_value);
-      *out += buf;
+      AppendJsonNumber(out, arg.uint_value);
       return;
     case TraceArg::Kind::kDouble:
-      std::snprintf(buf, sizeof(buf), "%.17g", arg.double_value);
-      *out += buf;
+      AppendJsonNumber(out, arg.double_value);
       return;
     case TraceArg::Kind::kBool:
       *out += arg.bool_value ? "true" : "false";
       return;
     case TraceArg::Kind::kString:
-      *out += '"';
-      AppendJsonEscaped(out, arg.string_value != nullptr ? arg.string_value
-                                                         : "");
-      *out += '"';
+      AppendJsonString(out, arg.string_value != nullptr ? arg.string_value
+                                                        : "");
       return;
   }
 }
@@ -159,9 +133,9 @@ void TraceRecorder::WriteChromeJson(std::ostream& out) const {
     line.clear();
     if (!first) line += ",";
     first = false;
-    line += "\n{\"name\":\"";
-    AppendJsonEscaped(&line, event.name != nullptr ? event.name : "");
-    line += "\",\"cat\":\"cwm\",\"ph\":\"";
+    line += "\n{\"name\":";
+    AppendJsonString(&line, event.name != nullptr ? event.name : "");
+    line += ",\"cat\":\"cwm\",\"ph\":\"";
     line += event.ph;
     line += "\",\"pid\":1,\"tid\":";
     line += std::to_string(event.tid);
@@ -181,11 +155,10 @@ void TraceRecorder::WriteChromeJson(std::ostream& out) const {
       line += ",\"args\":{";
       for (uint32_t a = 0; a < event.num_args; ++a) {
         if (a > 0) line += ",";
-        line += '"';
-        AppendJsonEscaped(&line,
-                          event.args[a].key != nullptr ? event.args[a].key
-                                                       : "");
-        line += "\":";
+        AppendJsonString(&line, event.args[a].key != nullptr
+                                    ? event.args[a].key
+                                    : "");
+        line += ":";
         AppendArgValue(&line, event.args[a]);
       }
       line += "}";

@@ -1,9 +1,9 @@
 #include "scenario/sink.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <ostream>
-#include <sstream>
+
+#include "support/json.h"
 
 namespace cwm {
 
@@ -39,152 +39,142 @@ const char* FixedKindName(FixedSeedSpec::Kind kind) {
   return "?";
 }
 
+/// Appends `values` as a JSON array, each element rendered by `append`.
 template <typename T, typename Fn>
-std::string JoinJson(const std::vector<T>& values, Fn render) {
-  std::string out = "[";
+void AppendArray(std::string* out, const std::vector<T>& values, Fn append) {
+  *out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ",";
-    out += render(values[i]);
+    if (i > 0) *out += ',';
+    append(out, values[i]);
   }
-  out += "]";
+  *out += ']';
+}
+
+/// Appends `,"key":` (every member after an object's first) and returns
+/// `out`, ready for the value.
+std::string* Member(std::string* out, const char* key) {
+  *out += ",\"";
+  *out += key;
+  *out += "\":";
   return out;
 }
 
-std::string NetworkToJson(const NetworkSpec& net) {
-  std::ostringstream os;
-  os << "{\"family\":\"" << JsonEscape(net.family) << "\""
-     << ",\"num_nodes\":" << net.num_nodes << ",\"degree\":" << net.degree
-     << ",\"aux\":" << JsonDouble(net.aux) << ",\"seed\":" << net.seed;
-  if (!net.path.empty()) os << ",\"path\":\"" << JsonEscape(net.path) << "\"";
-  os << ",\"prob\":\"" << ProbModelName(net.prob) << "\"";
-  if (net.prob == ProbModel::kConstant) {
-    os << ",\"prob_value\":" << JsonDouble(net.prob_value);
-  }
-  if (net.bfs_fraction < 1.0) {
-    os << ",\"bfs_fraction\":" << JsonDouble(net.bfs_fraction);
-  }
-  if (net.churn_steps > 0) {
-    os << ",\"churn_steps\":" << net.churn_steps
-       << ",\"churn_edits\":" << net.churn_edits
-       << ",\"churn_seed\":" << net.churn_seed;
-  }
-  os << ",\"label\":\"" << JsonEscape(net.Label()) << "\"}";
-  return os.str();
+void AppendInt(std::string* out, int value) { *out += std::to_string(value); }
+
+void AppendDouble(std::string* out, double value) {
+  AppendJsonNumber(out, value);
 }
 
-std::string ConfigToJson(const ConfigSpec& config) {
-  std::ostringstream os;
-  os << "{\"name\":\"" << JsonEscape(config.name) << "\"";
-  if (config.name == "uniform") os << ",\"num_items\":" << config.num_items;
-  os << "}";
-  return os.str();
+void AppendNetwork(std::string* out, const NetworkSpec& net) {
+  *out += "{\"family\":";
+  AppendJsonString(out, net.family);
+  *Member(out, "num_nodes") += std::to_string(net.num_nodes);
+  *Member(out, "degree") += std::to_string(net.degree);
+  AppendJsonNumber(Member(out, "aux"), net.aux);
+  *Member(out, "seed") += std::to_string(net.seed);
+  if (!net.path.empty()) AppendJsonString(Member(out, "path"), net.path);
+  AppendJsonString(Member(out, "prob"), ProbModelName(net.prob));
+  if (net.prob == ProbModel::kConstant) {
+    AppendJsonNumber(Member(out, "prob_value"), net.prob_value);
+  }
+  if (net.bfs_fraction < 1.0) {
+    AppendJsonNumber(Member(out, "bfs_fraction"), net.bfs_fraction);
+  }
+  if (net.churn_steps > 0) {
+    *Member(out, "churn_steps") += std::to_string(net.churn_steps);
+    *Member(out, "churn_edits") += std::to_string(net.churn_edits);
+    *Member(out, "churn_seed") += std::to_string(net.churn_seed);
+  }
+  AppendJsonString(Member(out, "label"), net.Label());
+  *out += '}';
+}
+
+void AppendConfig(std::string* out, const ConfigSpec& config) {
+  *out += "{\"name\":";
+  AppendJsonString(out, config.name);
+  if (config.name == "uniform") {
+    *Member(out, "num_items") += std::to_string(config.num_items);
+  }
+  *out += '}';
 }
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonDouble(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 std::string SpecToJson(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << "{\"type\":\"spec\",\"name\":\"" << JsonEscape(spec.name) << "\""
-     << ",\"title\":\"" << JsonEscape(spec.title) << "\""
-     << ",\"paper_ref\":\"" << JsonEscape(spec.paper_ref) << "\""
-     << ",\"networks\":" << JoinJson(spec.networks, NetworkToJson)
-     << ",\"configs\":" << JoinJson(spec.configs, ConfigToJson)
-     << ",\"algorithms\":"
-     << JoinJson(spec.algorithms,
-                 [](AlgoKind kind) {
-                   return "\"" + std::string(AlgoName(kind)) + "\"";
-                 })
-     << ",\"budget_points\":"
-     << JoinJson(spec.budget_points,
-                 [](const BudgetVector& point) {
-                   return JoinJson(point, [](int b) {
-                     return std::to_string(b);
-                   });
-                 })
-     << ",\"seeds\":"
-     << JoinJson(spec.seeds,
-                 [](uint64_t s) { return std::to_string(s); })
-     << ",\"fixed\":{\"kind\":\"" << FixedKindName(spec.fixed.kind) << "\"";
+  std::string out = "{\"type\":\"spec\"";
+  AppendJsonString(Member(&out, "name"), spec.name);
+  AppendJsonString(Member(&out, "title"), spec.title);
+  AppendJsonString(Member(&out, "paper_ref"), spec.paper_ref);
+  AppendArray(Member(&out, "networks"), spec.networks, AppendNetwork);
+  AppendArray(Member(&out, "configs"), spec.configs, AppendConfig);
+  AppendArray(Member(&out, "algorithms"), spec.algorithms,
+              [](std::string* o, AlgoKind kind) {
+                AppendJsonString(o, AlgoName(kind));
+              });
+  AppendArray(Member(&out, "budget_points"), spec.budget_points,
+              [](std::string* o, const BudgetVector& point) {
+                AppendArray(o, point, AppendInt);
+              });
+  AppendArray(Member(&out, "seeds"), spec.seeds,
+              [](std::string* o, uint64_t seed) {
+                *o += std::to_string(seed);
+              });
+  *Member(&out, "fixed") += "{\"kind\":";
+  AppendJsonString(&out, FixedKindName(spec.fixed.kind));
   if (spec.fixed.kind == FixedSeedSpec::Kind::kTopSpread) {
-    os << ",\"item\":" << spec.fixed.item << ",\"count\":" << spec.fixed.count;
+    *Member(&out, "item") += std::to_string(spec.fixed.item);
+    *Member(&out, "count") += std::to_string(spec.fixed.count);
   }
-  os << "},\"epsilon\":" << JsonDouble(spec.epsilon)
-     << ",\"ell\":" << JsonDouble(spec.ell) << ",\"sims\":" << spec.sims
-     << ",\"eval_sims\":" << spec.eval_sims
-     << ",\"rr_threads\":" << spec.rr_threads;
+  out += '}';
+  AppendJsonNumber(Member(&out, "epsilon"), spec.epsilon);
+  AppendJsonNumber(Member(&out, "ell"), spec.ell);
+  *Member(&out, "sims") += std::to_string(spec.sims);
+  *Member(&out, "eval_sims") += std::to_string(spec.eval_sims);
+  *Member(&out, "rr_threads") += std::to_string(spec.rr_threads);
   if (!spec.cache_dir.empty()) {
-    os << ",\"cache_dir\":\"" << JsonEscape(spec.cache_dir) << "\"";
+    AppendJsonString(Member(&out, "cache_dir"), spec.cache_dir);
   }
-  os << ",\"slow_gate\":\"" << SlowGateName(spec.slow_gate) << "\"}";
-  return os.str();
+  AppendJsonString(Member(&out, "slow_gate"), SlowGateName(spec.slow_gate));
+  out += '}';
+  return out;
 }
 
 std::string TaskResultToJson(const TaskResult& row,
                              const SinkOptions& options) {
-  std::ostringstream os;
-  os << "{\"type\":\"result\",\"scenario\":\"" << JsonEscape(row.scenario)
-     << "\",\"task\":" << row.task_index << ",\"network\":\""
-     << JsonEscape(row.network) << "\",\"config\":\""
-     << JsonEscape(row.config) << "\",\"algorithm\":\""
-     << JsonEscape(row.algorithm) << "\",\"budgets\":"
-     << JoinJson(row.budgets, [](int b) { return std::to_string(b); })
-     << ",\"seed\":" << row.seed << ",\"graph_nodes\":" << row.graph_nodes
-     << ",\"graph_edges\":" << row.graph_edges;
+  std::string out = "{\"type\":\"result\"";
+  AppendJsonString(Member(&out, "scenario"), row.scenario);
+  *Member(&out, "task") += std::to_string(row.task_index);
+  AppendJsonString(Member(&out, "network"), row.network);
+  AppendJsonString(Member(&out, "config"), row.config);
+  AppendJsonString(Member(&out, "algorithm"), row.algorithm);
+  AppendArray(Member(&out, "budgets"), row.budgets, AppendInt);
+  *Member(&out, "seed") += std::to_string(row.seed);
+  *Member(&out, "graph_nodes") += std::to_string(row.graph_nodes);
+  *Member(&out, "graph_edges") += std::to_string(row.graph_edges);
   // Provenance: ties the row to its graph artifact (store/format.h).
   // Content-derived, so cold and warm cache runs emit identical bytes.
   if (!row.graph_hash.empty()) {
-    os << ",\"graph_hash\":\"" << JsonEscape(row.graph_hash) << "\"";
+    AppendJsonString(Member(&out, "graph_hash"), row.graph_hash);
   }
   if (row.skipped) {
-    os << ",\"skipped\":true,\"skip_reason\":\""
-       << JsonEscape(row.skip_reason) << "\"";
+    out += ",\"skipped\":true";
+    AppendJsonString(Member(&out, "skip_reason"), row.skip_reason);
   } else {
-    os << ",\"welfare\":" << JsonDouble(row.welfare)
-       << ",\"adopting_nodes\":" << JsonDouble(row.adopting_nodes)
-       << ",\"adopters_per_item\":"
-       << JoinJson(row.adopters_per_item, JsonDouble)
-       << ",\"seeds_allocated\":" << row.seeds_allocated;
+    AppendJsonNumber(Member(&out, "welfare"), row.welfare);
+    AppendJsonNumber(Member(&out, "adopting_nodes"), row.adopting_nodes);
+    AppendArray(Member(&out, "adopters_per_item"), row.adopters_per_item,
+                AppendDouble);
+    *Member(&out, "seeds_allocated") += std::to_string(row.seeds_allocated);
     if (options.include_timing) {
-      os << ",\"seconds\":" << JsonDouble(row.seconds)
-         << ",\"sample_s\":" << JsonDouble(row.sample_s)
-         << ",\"select_s\":" << JsonDouble(row.select_s)
-         << ",\"estimate_s\":" << JsonDouble(row.estimate_s);
+      AppendJsonNumber(Member(&out, "seconds"), row.seconds);
+      AppendJsonNumber(Member(&out, "sample_s"), row.sample_s);
+      AppendJsonNumber(Member(&out, "select_s"), row.select_s);
+      AppendJsonNumber(Member(&out, "estimate_s"), row.estimate_s);
     }
-    if (!row.note.empty()) {
-      os << ",\"note\":\"" << JsonEscape(row.note) << "\"";
-    }
+    if (!row.note.empty()) AppendJsonString(Member(&out, "note"), row.note);
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 void WriteJsonLines(const SweepResult& result, std::ostream& out,
@@ -204,14 +194,6 @@ std::string CsvHeader() {
 
 std::string TaskResultToCsv(const TaskResult& row,
                             const SinkOptions& options) {
-  auto join_ints = [](const std::vector<int>& v) {
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) out += ";";
-      out += std::to_string(v[i]);
-    }
-    return out;
-  };
   // RFC-4180 quoting for free-text fields (notes, skip reasons).
   auto quoted = [](const std::string& s) {
     if (s.find_first_of(",\"\n") == std::string::npos) return s;
@@ -223,31 +205,37 @@ std::string TaskResultToCsv(const TaskResult& row,
     out += "\"";
     return out;
   };
-  std::ostringstream os;
-  os << row.scenario << "," << row.task_index << "," << row.network << ","
-     << row.config << "," << row.algorithm << "," << join_ints(row.budgets)
-     << "," << row.seed << "," << row.graph_nodes << "," << row.graph_edges
-     << "," << row.graph_hash << "," << (row.skipped ? "1" : "0") << ",";
-  if (!row.skipped) {
-    os << JsonDouble(row.welfare) << ","
-       << JsonDouble(row.adopting_nodes) << ",";
-    for (std::size_t i = 0; i < row.adopters_per_item.size(); ++i) {
-      if (i > 0) os << ";";
-      os << JsonDouble(row.adopters_per_item[i]);
-    }
-    os << "," << row.seeds_allocated << ",";
-    if (options.include_timing) {
-      os << JsonDouble(row.seconds) << "," << JsonDouble(row.sample_s)
-         << "," << JsonDouble(row.select_s) << ","
-         << JsonDouble(row.estimate_s);
-    } else {
-      os << ",,,";  // seconds,sample_s,select_s,estimate_s stay empty
-    }
-    os << "," << quoted(row.note);
-  } else {
-    os << ",,,,,,,," << quoted(row.skip_reason);
+  std::string out = row.scenario + "," + std::to_string(row.task_index) +
+                    "," + row.network + "," + row.config + "," +
+                    row.algorithm + ",";
+  for (std::size_t i = 0; i < row.budgets.size(); ++i) {
+    if (i > 0) out += ';';
+    out += std::to_string(row.budgets[i]);
   }
-  return os.str();
+  out += "," + std::to_string(row.seed) + "," +
+         std::to_string(row.graph_nodes) + "," +
+         std::to_string(row.graph_edges) + "," + row.graph_hash + "," +
+         (row.skipped ? "1" : "0") + ",";
+  if (row.skipped) return out + ",,,,,,,," + quoted(row.skip_reason);
+  AppendJsonNumber(&out, row.welfare);
+  out += ',';
+  AppendJsonNumber(&out, row.adopting_nodes);
+  out += ',';
+  for (std::size_t i = 0; i < row.adopters_per_item.size(); ++i) {
+    if (i > 0) out += ';';
+    AppendJsonNumber(&out, row.adopters_per_item[i]);
+  }
+  out += "," + std::to_string(row.seeds_allocated) + ",";
+  if (options.include_timing) {
+    for (const double seconds :
+         {row.seconds, row.sample_s, row.select_s, row.estimate_s}) {
+      AppendJsonNumber(&out, seconds);
+      out += ',';
+    }
+  } else {
+    out += ",,,,";  // seconds,sample_s,select_s,estimate_s stay empty
+  }
+  return out + quoted(row.note);
 }
 
 void WriteCsv(const SweepResult& result, std::ostream& out,

@@ -1,11 +1,12 @@
 // Result sinks: serialize sweep results as JSON-Lines, CSV, or aligned
 // stdout tables (the bench drivers' look).
 //
-// Reproducibility: the JSONL/CSV writers format every float with
-// round-trip precision ('%.17g') and emit rows in grid order. Wall-clock
-// timing is machine noise, so file sinks omit it unless
-// SinkOptions::include_timing is set; without it, two sweeps of the same
-// spec + seed produce byte-identical files regardless of thread count.
+// Reproducibility: the JSONL/CSV writers format every float through the
+// shared JSON writer (support/json.h, round-trip '%.17g') and emit rows
+// in grid order. Wall-clock timing is machine noise, so file sinks omit
+// it unless SinkOptions::include_timing is set; without it, two sweeps
+// of the same spec + seed produce byte-identical files regardless of
+// thread count.
 // A JSONL file starts with one header record ({"type":"spec", ...} — the
 // full scenario spec) followed by one {"type":"result", ...} record per
 // grid row; skipped rows are recorded too, so row counts match the grid.
@@ -28,12 +29,6 @@ struct SinkOptions {
   /// files are bit-identical across runs and thread counts.
   bool include_timing = false;
 };
-
-/// JSON string escaping (quotes, backslashes, control characters).
-std::string JsonEscape(const std::string& s);
-
-/// Round-trip decimal rendering of a double ('%.17g').
-std::string JsonDouble(double value);
 
 /// The {"type":"spec",...} header record (one line, no trailing newline).
 std::string SpecToJson(const ScenarioSpec& spec);

@@ -396,15 +396,6 @@ StatusOr<SweepResult> RunSweep(const ScenarioSpec& spec,
 
   result.total_seconds = total_timer.Seconds();
   result.cache_enabled = cache != nullptr;
-  if (cache != nullptr) result.cache_stats = cache->stats();
-  for (const CellInputs& cell : cells) {
-    const WorldPoolStoreStats stats = cell.engine->pool_stats();
-    result.pool_stats.pools_built += stats.pools_built;
-    result.pool_stats.pool_reuses += stats.pool_reuses;
-    result.pool_stats.pools_evicted += stats.pools_evicted;
-    result.pool_stats.resident_bytes += stats.resident_bytes;
-    result.pool_stats.resident_pools += stats.resident_pools;
-  }
   return result;
 }
 

@@ -32,8 +32,6 @@
 #include <vector>
 
 #include "scenario/scenario.h"
-#include "simulate/world_pool.h"
-#include "store/artifact_cache.h"
 #include "support/status.h"
 
 namespace cwm {
@@ -138,15 +136,10 @@ struct SweepResult {
   ScenarioSpec spec;
   std::vector<TaskResult> rows;
   double total_seconds = 0.0;
-  /// Artifact-cache counters for this sweep (all zero when disabled).
-  /// Execution telemetry like `total_seconds` — not part of the artifact.
+  /// Whether the sweep ran against an artifact cache. Execution
+  /// telemetry like `total_seconds` — not part of the artifact. Cache and
+  /// pool event counts live in the metrics registry (cache.*, pool.*).
   bool cache_enabled = false;
-  CacheStats cache_stats;
-  /// Keyed snapshot-pool counters, summed over the per-cell engines.
-  /// pool_reuses > 0 means estimators shared materialized worlds (every
-  /// task of a cell resolves the cell's evaluation pool by key).
-  /// Execution telemetry — not part of the artifact.
-  WorldPoolStoreStats pool_stats;
 };
 
 /// Validates, expands and runs `spec`. Fails fast on validation or

@@ -3,9 +3,10 @@
 // The wire format is line-delimited JSON: one object per line, request in
 // and response out. The repo deliberately carries no external JSON
 // dependency, so this header provides the little that the protocol
-// needs — a recursive-descent parser into a plain value tree, and an
-// escaping writer — with Status-carrying errors instead of exceptions
-// (a malformed client line must never take the daemon down).
+// needs — a recursive-descent parser into a plain value tree, plus the
+// repo's one escaping writer (support/json.h) — with Status-carrying
+// errors instead of exceptions (a malformed client line must never take
+// the daemon down).
 //
 // Scope: UTF-8 pass-through (no codepoint validation), numbers parsed as
 // double (the protocol's integers are all well within 2^53), \uXXXX
@@ -14,12 +15,12 @@
 #ifndef CWM_SERVE_JSON_H_
 #define CWM_SERVE_JSON_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "support/json.h"
 #include "support/status.h"
 
 namespace cwm {
@@ -51,17 +52,6 @@ struct JsonValue {
 /// Parses one complete JSON document; trailing non-whitespace is an
 /// error (a line must be exactly one object).
 StatusOr<JsonValue> ParseJson(std::string_view text);
-
-/// Appends `text` to `out` as a quoted JSON string with full escaping.
-void AppendJsonString(std::string* out, std::string_view text);
-
-/// Appends a double in shortest round-trip form ("%.17g" trimmed; the
-/// protocol's welfare numbers survive a parse round trip bit-exactly).
-void AppendJsonNumber(std::string* out, double value);
-
-/// Appends an integer (exact, no exponent form).
-void AppendJsonNumber(std::string* out, int64_t value);
-void AppendJsonNumber(std::string* out, uint64_t value);
 
 }  // namespace cwm
 

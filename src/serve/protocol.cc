@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/rng.h"
 
@@ -30,6 +31,18 @@ StatusOr<int64_t> AsInteger(const JsonValue& value, std::string_view key) {
     return FieldError(key, "expected an integer");
   }
   return static_cast<int64_t>(value.number);
+}
+
+/// AsInteger for the fields stored as int (budgets, items, sims):
+/// values outside int's range are rejected rather than wrapped.
+StatusOr<int> AsInt(const JsonValue& value, std::string_view key) {
+  StatusOr<int64_t> n = AsInteger(value, key);
+  if (!n.ok()) return n.status();
+  if (n.value() < std::numeric_limits<int>::min() ||
+      n.value() > std::numeric_limits<int>::max()) {
+    return FieldError(key, "integer out of range");
+  }
+  return static_cast<int>(n.value());
 }
 
 }  // namespace
@@ -99,18 +112,18 @@ StatusOr<ServeRequest> ParseServeRequest(std::string_view line) {
           }
           std::vector<int> budgets;
           for (const JsonValue& b : point.array) {
-            StatusOr<int64_t> n = AsInteger(b, key);
+            StatusOr<int> n = AsInt(b, key);
             if (!n.ok()) return n.status();
-            budgets.push_back(static_cast<int>(n.value()));
+            budgets.push_back(n.value());
           }
           request.budget_points.push_back(std::move(budgets));
         }
       } else {
         std::vector<int> budgets;
         for (const JsonValue& b : value.array) {
-          StatusOr<int64_t> n = AsInteger(b, key);
+          StatusOr<int> n = AsInt(b, key);
           if (!n.ok()) return n.status();
-          budgets.push_back(static_cast<int>(n.value()));
+          budgets.push_back(n.value());
         }
         request.budget_points.push_back(std::move(budgets));
       }
@@ -118,9 +131,9 @@ StatusOr<ServeRequest> ParseServeRequest(std::string_view line) {
     } else if (key == "items") {
       if (!value.IsArray()) return FieldError(key, "expected an array");
       for (const JsonValue& item : value.array) {
-        StatusOr<int64_t> n = AsInteger(item, key);
+        StatusOr<int> n = AsInt(item, key);
         if (!n.ok()) return n.status();
-        request.items.push_back(static_cast<ItemId>(n.value()));
+        request.items.push_back(n.value());
       }
     } else if (key == "seed") {
       StatusOr<int64_t> n = AsInteger(value, key);
@@ -133,15 +146,15 @@ StatusOr<ServeRequest> ParseServeRequest(std::string_view line) {
       if (n.value() < 0) return FieldError(key, "must be >= 0");
       request.deadline_ms = n.value();
     } else if (key == "sims") {
-      StatusOr<int64_t> n = AsInteger(value, key);
+      StatusOr<int> n = AsInt(value, key);
       if (!n.ok()) return n.status();
       if (n.value() < 0) return FieldError(key, "must be >= 0");
-      request.sims = static_cast<int>(n.value());
+      request.sims = n.value();
     } else if (key == "eval_sims") {
-      StatusOr<int64_t> n = AsInteger(value, key);
+      StatusOr<int> n = AsInt(value, key);
       if (!n.ok()) return n.status();
       if (n.value() < 0) return FieldError(key, "must be >= 0");
-      request.eval_sims = static_cast<int>(n.value());
+      request.eval_sims = n.value();
     } else if (key == "epsilon") {
       if (!value.IsNumber() || value.number <= 0.0 || value.number >= 1.0) {
         return FieldError(key, "expected a number in (0, 1)");

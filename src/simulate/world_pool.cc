@@ -196,8 +196,9 @@ WorldPoolStats WorldPool::stats() const {
 
 namespace {
 
-// Process-wide twins of the per-store counters (same increment sites),
-// read by `--metrics` and the stderr formatter.
+// The one count of pool events, summed over every store of the process:
+// `--metrics` dumps these counters and cwm_run prints their per-sweep
+// differences.
 Counter& PoolBuildsCounter() {
   static Counter& counter = MetricsRegistry::Global().GetCounter("pool.builds");
   return counter;
@@ -288,7 +289,6 @@ std::size_t WorldPoolStore::EvictFor(std::size_t desired) {
     resident -= victim->second.bytes;
     pools_.erase(victim);
     PoolEvictionsCounter().Add(1);
-    pools_evicted_.fetch_add(1, std::memory_order_relaxed);
   }
   return resident;
 }
@@ -306,7 +306,6 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
     if (auto it = pools_.find(key);
         it != pools_.end() && it->second.ready.load(std::memory_order_acquire)) {
       PoolReusesCounter().Add(1);
-      pool_reuses_.fetch_add(1, std::memory_order_relaxed);
       it->second.last_use.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
@@ -320,7 +319,6 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
     if (it == pools_.end()) break;
     if (it->second.ready.load(std::memory_order_acquire)) {
       PoolReusesCounter().Add(1);
-      pool_reuses_.fetch_add(1, std::memory_order_relaxed);
       it->second.last_use.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
@@ -378,11 +376,7 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
   entry.bytes = pool->stats().bytes;
   entry.ready.store(true, std::memory_order_release);
   PoolBuildsCounter().Add(1);
-  pools_built_.fetch_add(1, std::memory_order_relaxed);
-  if (prior != nullptr) {
-    PoolPatchesCounter().Add(1);
-    pools_patched_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (prior != nullptr) PoolPatchesCounter().Add(1);
   lock.unlock();
   done.set_value();
   return pool;
@@ -402,7 +396,6 @@ std::shared_ptr<const PackedWorldSet> WorldPoolStore::GetOrBuildPacked(
     if (auto it = pools_.find(key);
         it != pools_.end() && it->second.ready.load(std::memory_order_acquire)) {
       PoolReusesCounter().Add(1);
-      pool_reuses_.fetch_add(1, std::memory_order_relaxed);
       it->second.last_use.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
@@ -416,7 +409,6 @@ std::shared_ptr<const PackedWorldSet> WorldPoolStore::GetOrBuildPacked(
     if (it == pools_.end()) break;
     if (it->second.ready.load(std::memory_order_acquire)) {
       PoolReusesCounter().Add(1);
-      pool_reuses_.fetch_add(1, std::memory_order_relaxed);
       it->second.last_use.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
@@ -469,26 +461,10 @@ std::shared_ptr<const PackedWorldSet> WorldPoolStore::GetOrBuildPacked(
   entry.bytes = packed->bytes();
   entry.ready.store(true, std::memory_order_release);
   PoolBuildsCounter().Add(1);
-  pools_built_.fetch_add(1, std::memory_order_relaxed);
-  if (prior != nullptr) {
-    PoolPatchesCounter().Add(1);
-    pools_patched_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (prior != nullptr) PoolPatchesCounter().Add(1);
   lock.unlock();
   done.set_value();
   return packed;
-}
-
-WorldPoolStoreStats WorldPoolStore::stats() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  WorldPoolStoreStats stats;
-  stats.pools_built = pools_built_.load(std::memory_order_relaxed);
-  stats.pool_reuses = pool_reuses_.load(std::memory_order_relaxed);
-  stats.pools_evicted = pools_evicted_.load(std::memory_order_relaxed);
-  stats.pools_patched = pools_patched_.load(std::memory_order_relaxed);
-  stats.resident_pools = pools_.size();
-  for (const auto& [key, entry] : pools_) stats.resident_bytes += entry.bytes;
-  return stats;
 }
 
 }  // namespace cwm

@@ -174,18 +174,6 @@ class WorldPool {
   std::vector<std::unique_ptr<WorldSnapshot>> snapshots_;
 };
 
-/// Telemetry of one store (surfaced through Engine/AllocateResult and the
-/// sweep's aggregate counters).
-struct WorldPoolStoreStats {
-  uint64_t pools_built = 0;    ///< keys materialized from scratch
-  uint64_t pool_reuses = 0;    ///< GetOrBuild calls served by a resident pool
-  uint64_t pools_evicted = 0;  ///< unreferenced pools dropped for budget
-  uint64_t pools_patched = 0;  ///< builds served incrementally from a
-                               ///< pre-delta pool (subset of pools_built)
-  std::size_t resident_bytes = 0;  ///< snapshot bytes currently resident
-  std::size_t resident_pools = 0;  ///< pools currently resident
-};
-
 /// A keyed, budget-capped cache of WorldPools shared by the estimators of
 /// one engine/task. The key is (graph, config, seed, num_worlds) — the
 /// full identity of an estimator's world sequence — so two estimators
@@ -196,6 +184,10 @@ struct WorldPoolStoreStats {
 /// evicting unreferenced pools (LRU-first), and falls back to streaming
 /// when nothing remains. Thread-safe; concurrent GetOrBuild calls for one
 /// key build once and share. Never changes results — only wall time.
+///
+/// Builds, reuses, evictions and delta patches are counted in the metrics
+/// registry only (pool.builds, pool.reuses, pool.evictions, pool.patches;
+/// a patch is also a build), summed over every store of the process.
 ///
 /// Concurrency: hits take a shared lock (concurrent serve requests for
 /// resident pools never contend), and a miss builds its pool *outside*
@@ -241,8 +233,6 @@ class WorldPoolStore {
   /// must outlive the store (Engine retains retired graph states).
   void NotifyDelta(const Graph& old_graph, const Graph& new_graph,
                    EdgeId first_dirty_edge);
-
-  WorldPoolStoreStats stats() const;
 
   std::size_t budget_bytes() const { return budget_bytes_; }
 
@@ -303,10 +293,6 @@ class WorldPoolStore {
   std::map<Key, Entry> pools_;
   std::map<const Graph*, std::size_t> footprints_;
   std::map<const Graph*, DeltaHint> deltas_;
-  std::atomic<uint64_t> pools_built_{0};
-  std::atomic<uint64_t> pool_reuses_{0};
-  std::atomic<uint64_t> pools_evicted_{0};
-  std::atomic<uint64_t> pools_patched_{0};
 };
 
 }  // namespace cwm

@@ -24,10 +24,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// The per-instance CacheStats keep their per-sweep semantics (attached to
-// SweepResult); these registry counters are the process-wide view the
-// `--metrics` dump and stderr formatter read. Both are bumped at the same
-// sites, so they can never disagree on what happened.
+// The one count of cache events: `--metrics` dumps these counters and
+// cwm_run prints their per-sweep differences.
 Counter& GraphHitsCounter() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("cache.graph_hits");
@@ -153,8 +151,6 @@ StatusOr<Graph> ArtifactCache::GetOrBuildGraph(
                               : GraphContentHash(opened.value());
         }
         GraphHitsCounter().Add(1);
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.graph_hits;
         return opened;
       }
       // Corrupt entry (torn disk, bit rot): move it aside and rebuild
@@ -193,15 +189,10 @@ StatusOr<Graph> ArtifactCache::GetOrBuildGraph(
   // A failed store is not a failed build: return the graph regardless and
   // continue uncached.
   GraphMissesCounter().Add(1);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.graph_misses;
   if (write.ok()) {
     std::error_code size_ec;
     const uint64_t bytes = fs::file_size(path, size_ec);
-    if (!size_ec) {
-      stats_.bytes_written += bytes;
-      BytesWrittenCounter().Add(bytes);
-    }
+    if (!size_ec) BytesWrittenCounter().Add(bytes);
   }
   return built;
 }
@@ -221,8 +212,6 @@ std::optional<RrEraData> ArtifactCache::LoadRrEra(uint64_t recipe_hash,
     }();
     if (opened.ok()) {
       RrHitsCounter().Add(1);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.rr_hits;
       return std::move(opened).value();
     }
     // NotFound = provenance mismatch (hash collision or stale key): a
@@ -236,8 +225,6 @@ std::optional<RrEraData> ArtifactCache::LoadRrEra(uint64_t recipe_hash,
     }
   }
   RrMissesCounter().Add(1);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.rr_misses;
   return std::nullopt;
 }
 
@@ -269,8 +256,6 @@ Status ArtifactCache::StoreRrEra(uint64_t recipe_hash,
     std::error_code ec;
     const uint64_t bytes = fs::file_size(path, ec);
     if (!ec) BytesWrittenCounter().Add(bytes);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!ec) stats_.bytes_written += bytes;
   }
   return status;
 }
@@ -467,8 +452,6 @@ Status ArtifactCache::QuarantineEntry(const std::string& path) {
     }
   }
   NoteDegradedEvent("cache.quarantined");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.quarantined;
   return Status::OK();
 }
 
@@ -483,13 +466,6 @@ void ArtifactCache::DisableWrites(const Status& cause) {
                "cwm: artifact cache now read-only after write failure: "
                "%s (continuing uncached; results are unaffected)\n",
                cause.ToString().c_str());
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.writes_disabled = true;
-}
-
-CacheStats ArtifactCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace cwm

@@ -30,6 +30,11 @@
 // allocations continue uncached. Both paths count store.degraded.* /
 // cache.quarantined metrics.
 //
+// Counting: hits, misses, bytes written and quarantines are counted only
+// in the process-wide metrics registry (cache.* counters, obs/metrics.h).
+// A per-run view is the difference of a counter read before and after
+// the run, which is how cwm_run prints its per-sweep cache line.
+//
 // Writes are atomic (temp + rename), so concurrent sweep workers may race
 // on a key safely: both compute identical bytes and the loser's rename
 // simply replaces the file with identical content. Hits are validated
@@ -42,7 +47,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,18 +56,6 @@
 #include "support/status.h"
 
 namespace cwm {
-
-/// Hit/miss counters; a snapshot is attached to SweepResult and printed
-/// by cwm_run.
-struct CacheStats {
-  uint64_t graph_hits = 0;
-  uint64_t graph_misses = 0;
-  uint64_t rr_hits = 0;
-  uint64_t rr_misses = 0;
-  uint64_t bytes_written = 0;
-  uint64_t quarantined = 0;     ///< unreadable entries moved aside
-  bool writes_disabled = false; ///< a write failed; cache is read-only now
-};
 
 /// One cache entry as reported by List().
 struct CacheEntry {
@@ -82,7 +74,7 @@ struct GcResult {
 };
 
 /// A directory of content-addressed artifacts. Thread-safe: file
-/// operations are per-key and atomic; stats are mutex-guarded.
+/// operations are per-key and atomic.
 class ArtifactCache {
  public:
   /// Opens (creating directories if needed) a cache rooted at `root`.
@@ -138,8 +130,6 @@ class ArtifactCache {
     return writes_enabled_.load(std::memory_order_relaxed);
   }
 
-  CacheStats stats() const;
-
  private:
   explicit ArtifactCache(std::string root) : root_(std::move(root)) {}
 
@@ -151,8 +141,6 @@ class ArtifactCache {
 
   std::string root_;
   std::atomic<bool> writes_enabled_{true};
-  mutable std::mutex mutex_;
-  CacheStats stats_;
 };
 
 /// Folds an RR sampling identity into the single cache key used by the

@@ -145,12 +145,18 @@ TEST(EngineTest, ReusedEngineBitIdenticalToFreshEnginesAndSharesPools) {
   const UtilityConfig c = MakeConfigC1();
 
   // Two consecutive Allocate calls on one engine...
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const uint64_t builds_before = builds.value();
+  const uint64_t reuses_before = reuses.value();
   Engine reused(g, c);
   AllocateResult reused_first, reused_second;
   ASSERT_TRUE(
       reused.Allocate(TinyRequest(AlgoKind::kSeqGrd), &reused_first).ok());
   ASSERT_TRUE(
       reused.Allocate(TinyRequest(AlgoKind::kMaxGrd), &reused_second).ok());
+  const uint64_t reused_builds = builds.value() - builds_before;
+  const uint64_t reused_reuses = reuses.value() - reuses_before;
 
   // ...must be bit-identical to two fresh engines.
   Engine fresh_a(g, c), fresh_b(g, c);
@@ -165,8 +171,8 @@ TEST(EngineTest, ReusedEngineBitIdenticalToFreshEnginesAndSharesPools) {
 
   // The two calls share the evaluation worlds (same eval seed/sims), so
   // the keyed pool store must report cross-estimator snapshot reuse.
-  EXPECT_GE(reused.pool_stats().pool_reuses, 1u);
-  EXPECT_GE(reused.pool_stats().pools_built, 1u);
+  EXPECT_GE(reused_reuses, 1u);
+  EXPECT_GE(reused_builds, 1u);
 }
 
 TEST(EngineTest, SupGrdPreconditionBecomesSkippedResult) {
@@ -181,6 +187,117 @@ TEST(EngineTest, SupGrdPreconditionBecomesSkippedResult) {
   EXPECT_NE(result.skip_reason.find("SupGRD preconditions"),
             std::string::npos)
       << result.skip_reason;
+}
+
+TEST(EngineTest, BudgetAboveNodeCountIsInvalidForEveryAllocator) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC1();
+  Engine engine(g, c);
+  const int over = static_cast<int>(g.num_nodes()) + 1;
+  for (AlgoKind algo : AllAlgoKinds()) {
+    AllocateRequest request = TinyRequest(algo);
+    request.budgets = {over, over};
+    AllocateResult result;
+    EXPECT_EQ(engine.Allocate(std::move(request), &result).code(),
+              Status::Code::kInvalidArgument)
+        << AlgoName(algo);
+    std::vector<AllocateResult> batch;
+    const std::vector<BudgetVector> points = {{2, 2}, {3, over}};
+    EXPECT_EQ(engine
+                  .AllocateBatch(TinyRequest(algo),
+                                 std::span<const BudgetVector>(points),
+                                 &batch)
+                  .code(),
+              Status::Code::kInvalidArgument)
+        << AlgoName(algo);
+  }
+}
+
+// Each item's budget fits the graph but their sum does not: the
+// allocators that give every seed its own node report a skipped result,
+// the others answer with the full budgets.
+TEST(EngineTest, TotalBudgetAboveNodeCountSkipsOrAnswers) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC1();
+  Engine engine(g, c);
+  const int half = static_cast<int>(g.num_nodes()) / 2 + 5;
+  const std::set<AlgoKind> ranks_total = {
+      AlgoKind::kSeqGrd,         AlgoKind::kSeqGrdNm,
+      AlgoKind::kBestOf,         AlgoKind::kRoundRobin,
+      AlgoKind::kSnake,          AlgoKind::kBlockUtility,
+      AlgoKind::kHighDegreeRank, AlgoKind::kDegreeDiscountRank,
+      AlgoKind::kPageRankRank};
+  for (AlgoKind algo : AllAlgoKinds()) {
+    AllocateRequest request = TinyRequest(algo);
+    request.budgets = {half, half};
+    request.eval.num_worlds = 4;
+    AllocateResult result;
+    const Status status = engine.Allocate(std::move(request), &result);
+    ASSERT_TRUE(status.ok()) << AlgoName(algo) << ": " << status.ToString();
+    if (algo == AlgoKind::kSupGrd) continue;  // skipped: no superior item
+    if (ranks_total.contains(algo)) {
+      EXPECT_TRUE(result.skipped) << AlgoName(algo);
+      EXPECT_NE(result.skip_reason.find("distinct nodes"), std::string::npos)
+          << AlgoName(algo) << ": " << result.skip_reason;
+    } else {
+      EXPECT_FALSE(result.skipped) << AlgoName(algo);
+      EXPECT_GE(result.allocation.TotalPairs(),
+                static_cast<std::size_t>(half))
+          << AlgoName(algo);
+    }
+  }
+
+  // A SeqGRD batch with such a point runs point by point: the fitting
+  // point is answered, the oversized one skipped.
+  const std::vector<BudgetVector> points = {{3, 3}, {half, half}};
+  std::vector<AllocateResult> batch;
+  ASSERT_TRUE(engine
+                  .AllocateBatch(TinyRequest(AlgoKind::kSeqGrdNm),
+                                 std::span<const BudgetVector>(points),
+                                 &batch)
+                  .ok());
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_FALSE(batch[0].skipped);
+  EXPECT_EQ(batch[0].allocation.TotalPairs(), 6u);
+  EXPECT_TRUE(batch[1].skipped);
+}
+
+// A fixed allocation S_P shrinks what PRIMA+ can pick: MaxGRD's ranking
+// must fit in the nodes outside S_P, and S_P must lie in the graph.
+TEST(EngineTest, FixedAllocationBoundsTheRanking) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC1();
+  Engine engine(g, c);
+  Allocation fixed(c.num_items());
+  for (NodeId v = 0; v < 100; ++v) fixed.Add(v, 1);
+  AllocateRequest request = TinyRequest(AlgoKind::kMaxGrd);
+  request.items = {0};
+  request.fixed = &fixed;
+  AllocateResult result;
+  request.budgets = {60, 0};  // 150 nodes, 100 of them in S_P
+  ASSERT_TRUE(engine.Allocate(request, &result).ok());
+  EXPECT_TRUE(result.skipped);
+  request.budgets = {40, 0};
+  ASSERT_TRUE(engine.Allocate(request, &result).ok());
+  EXPECT_FALSE(result.skipped);
+  EXPECT_EQ(result.allocation.TotalPairs(), 40u);
+
+  const std::vector<BudgetVector> points = {{10, 0}, {60, 0}};
+  std::vector<AllocateResult> batch;
+  ASSERT_TRUE(
+      engine
+          .AllocateBatch(request, std::span<const BudgetVector>(points),
+                         &batch)
+          .ok());
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_FALSE(batch[0].skipped);
+  EXPECT_TRUE(batch[1].skipped);
+
+  Allocation outside(c.num_items());
+  outside.Add(static_cast<NodeId>(g.num_nodes()), 1);
+  request.fixed = &outside;
+  EXPECT_EQ(engine.Allocate(request, &result).code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST(EngineTest, UnknownKindIsNotFound) {
@@ -392,10 +509,14 @@ TEST(SweepTest, GoldenTaskReportsCrossEstimatorPoolReuse) {
   options.num_threads = 2;
   options.default_sims = 20;
   options.default_eval_sims = 30;
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const uint64_t builds_before = builds.value();
+  const uint64_t reuses_before = reuses.value();
   const StatusOr<SweepResult> result = RunSweep(spec.value(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE(result.value().pool_stats.pool_reuses, 1u);
-  EXPECT_GE(result.value().pool_stats.pools_built, 1u);
+  EXPECT_GE(reuses.value() - reuses_before, 1u);
+  EXPECT_GE(builds.value() - builds_before, 1u);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "delta/rr_patch.h"
 #include "exp/configs.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
 #include "rrset/imm.h"
 #include "rrset/rr_pipeline.h"
 #include "rrset/rr_sampler.h"
@@ -765,11 +766,16 @@ TEST(EngineDeltaTest, PostDeltaAllocationsMatchColdRebuildForEveryAlgo) {
   // A cold engine over the composed graph: every registered allocator at
   // 1 and 8 threads must land on bit-identical results.
   Engine cold(applied.value().graph, config);
+  const Counter& pool_builds =
+      MetricsRegistry::Global().GetCounter("pool.builds");
+  uint64_t incremental_builds = 0;
   for (AlgoKind algo : AllAlgoKinds()) {
     for (unsigned threads : {1u, 8u}) {
       AllocateResult inc_result, cold_result;
+      const uint64_t builds_before = pool_builds.value();
       const Status inc =
           incremental.Allocate(TinyRequest(algo, threads), &inc_result);
+      incremental_builds += pool_builds.value() - builds_before;
       const Status cold_status =
           cold.Allocate(TinyRequest(algo, threads), &cold_result);
       ASSERT_EQ(inc.ok(), cold_status.ok()) << AlgoName(algo);
@@ -784,7 +790,7 @@ TEST(EngineDeltaTest, PostDeltaAllocationsMatchColdRebuildForEveryAlgo) {
   }
   // Patching telemetry: the evaluator pools of the post-delta runs were
   // served incrementally from the pre-delta pools where one existed.
-  EXPECT_GE(incremental.pool_stats().pools_built, 1u);
+  EXPECT_GE(incremental_builds, 1u);
 }
 
 // SeqGRD-NM and MaxGRD without a fixed allocation run PRIMA+ with an
@@ -826,11 +832,13 @@ TEST(EngineDeltaTest, EmptyPriorSetErasArePatchedAndServeThePostDeltaRuns) {
   // Each post-delta run reads patched eras, and its results equal a cold
   // engine's (no cache) on the composed graph bit for bit.
   Engine cold(engine.graph(), config);
+  const Counter& rr_hits =
+      MetricsRegistry::Global().GetCounter("cache.rr_hits");
   for (AlgoKind algo : algos) {
-    const uint64_t hits_before = store.stats().rr_hits;
+    const uint64_t hits_before = rr_hits.value();
     AllocateResult served, fresh;
     ASSERT_TRUE(engine.Allocate(TinyRequest(algo, 2), &served).ok());
-    EXPECT_GT(store.stats().rr_hits, hits_before) << AlgoName(algo);
+    EXPECT_GT(rr_hits.value(), hits_before) << AlgoName(algo);
     ASSERT_TRUE(cold.Allocate(TinyRequest(algo, 2), &fresh).ok());
     EXPECT_EQ(served.allocation.ToString(), fresh.allocation.ToString())
         << AlgoName(algo);
@@ -848,12 +856,16 @@ TEST(EngineDeltaTest, PoolsArePatchedAcrossDelta) {
   // Warm the keyed pool store on the pre-delta graph.
   ASSERT_TRUE(
       engine.Allocate(TinyRequest(AlgoKind::kSeqGrdNm, 1), &result).ok());
-  const uint64_t built_before = engine.pool_stats().pools_built;
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const Counter& builds = metrics.GetCounter("pool.builds");
+  const Counter& patches = metrics.GetCounter("pool.patches");
+  const uint64_t built_before = builds.value();
+  const uint64_t patched_before = patches.value();
   ASSERT_TRUE(engine.ApplyDelta(GenerateChurnDelta(base, 29, 10)).ok());
   ASSERT_TRUE(
       engine.Allocate(TinyRequest(AlgoKind::kSeqGrdNm, 1), &result).ok());
-  EXPECT_GT(engine.pool_stats().pools_built, built_before);
-  EXPECT_GE(engine.pool_stats().pools_patched, 1u);
+  EXPECT_GT(builds.value(), built_before);
+  EXPECT_GE(patches.value() - patched_before, 1u);
 }
 
 TEST(EngineDeltaTest, ApplyDeltaIsAtomicUnderConcurrentAllocates) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <random>
 #include <set>
@@ -260,6 +261,24 @@ TEST(MetricsTest, MetricsToJsonShape) {
   EXPECT_NE(json.find("{\"le\":\"inf\",\"count\":2}"), std::string::npos);
 }
 
+TEST(MetricsTest, MetricsToJsonEscapesNames) {
+  MetricsSnapshot snapshot;
+  snapshot.counters = {{"odd\"name\n\x01", 1}};
+  snapshot.gauges = {{"g", -0.0}, {"nan", std::nan("")}};
+  EXPECT_EQ(MetricsToJson(snapshot),
+            "{\"counters\":{\"odd\\\"name\\n\\u0001\":1},"
+            "\"gauges\":{\"g\":0,\"nan\":null},\"histograms\":{}}");
+}
+
+TEST(MetricsTest, CounterValueReadsWithoutRegistering) {
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.CounterValue("test.absent"), 0u);
+  EXPECT_TRUE(registry.Snapshot().counters.empty());
+  registry.GetCounter("test.present").Add(7);
+  EXPECT_EQ(registry.CounterValue("test.present"), 7u);
+  EXPECT_EQ(registry.Snapshot().counters.size(), 1u);
+}
+
 TEST(MetricsTest, GlobalRegistryHasProcessLifetime) {
   Counter& c = MetricsRegistry::Global().GetCounter("obs_test.probe");
   const uint64_t before = c.value();
@@ -268,9 +287,9 @@ TEST(MetricsTest, GlobalRegistryHasProcessLifetime) {
             before + 1);
 }
 
-TEST(MetricsTest, LineFormatterMatchesCacheStatsContract) {
-  // The exact grammar CI greps from cwm_run's stderr cache line
-  // ("graphs hits=", "rr hits=" — see tools/cwm_run.cc).
+TEST(MetricsTest, LineFormatterMatchesCwmRunStderrContract) {
+  // The exact grammar of cwm_run's per-sweep stderr lines; CI greps the
+  // cache line's "graphs hits=" and "rr hits=" (see tools/cwm_run.cc).
   MetricsLineFormatter line;
   line.Count("graphs hits", 1)
       .Count("misses", 2)
@@ -280,9 +299,12 @@ TEST(MetricsTest, LineFormatterMatchesCacheStatsContract) {
   EXPECT_EQ(line.str(), "graphs hits=1 misses=2; rr hits=3 misses=4");
 
   MetricsLineFormatter pools;
-  pools.Count("built", 2).Count("reused", 10).Fixed("resident", 12.34, 1,
-                                                    "MB");
-  EXPECT_EQ(pools.str(), "built=2 reused=10 resident=12.3MB");
+  pools.Count("built", 2).Count("reused", 10).Count("evicted", 0);
+  EXPECT_EQ(pools.str(), "built=2 reused=10 evicted=0");
+
+  MetricsLineFormatter phases;
+  phases.Fixed("sample", 1.234, 2, "s").Fixed("estimate", 12.34, 1);
+  EXPECT_EQ(phases.str(), "sample=1.23s estimate=12.3");
 }
 
 // ---------------------------------------------------------------------------

@@ -348,6 +348,10 @@ TEST(PackedWorldTest, PoolStoreConcurrentSameKeyBuildsOnce) {
   const Graph g = TestGraph();
   const UtilityConfig c = MakeConfigC5();
   WorldPoolStore store(64ull << 20);
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const uint64_t builds_before = builds.value();
+  const uint64_t reuses_before = reuses.value();
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const WorldPool>> pools(kThreads);
   std::vector<std::thread> threads;
@@ -362,14 +366,16 @@ TEST(PackedWorldTest, PoolStoreConcurrentSameKeyBuildsOnce) {
     ASSERT_NE(pools[t], nullptr);
     EXPECT_EQ(pools[t], pools[0]);
   }
-  EXPECT_EQ(store.stats().pools_built, 1u);
-  EXPECT_EQ(store.stats().pool_reuses, kThreads - 1u);
+  EXPECT_EQ(builds.value() - builds_before, 1u);
+  EXPECT_EQ(reuses.value() - reuses_before, kThreads - 1u);
 }
 
 TEST(PackedWorldTest, PoolStoreConcurrentDistinctKeysAllMaterialize) {
   const Graph g = TestGraph();
   const UtilityConfig c = MakeConfigC5();
   WorldPoolStore store(256ull << 20);
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const uint64_t builds_before = builds.value();
   constexpr int kThreads = 6;
   std::vector<std::shared_ptr<const WorldPool>> pools(kThreads);
   std::vector<std::thread> threads;
@@ -385,7 +391,7 @@ TEST(PackedWorldTest, PoolStoreConcurrentDistinctKeysAllMaterialize) {
     ASSERT_NE(pools[t], nullptr);
     for (int u = 0; u < t; ++u) EXPECT_NE(pools[t], pools[u]);
   }
-  EXPECT_EQ(store.stats().pools_built, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(builds.value() - builds_before, static_cast<uint64_t>(kThreads));
 }
 
 TEST(PackedWorldTest, PoolStoreSharesPackedSetsAcrossEstimators) {
@@ -393,15 +399,19 @@ TEST(PackedWorldTest, PoolStoreSharesPackedSetsAcrossEstimators) {
   const UtilityConfig c = MakeConfigC5();
   const std::vector<Allocation> candidates = Candidates(c.num_items());
   WorldPoolStore store(64ull << 20);
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const uint64_t builds_before = builds.value();
+  const uint64_t reuses_before = reuses.value();
   EstimatorOptions opts = PackedOpts(64, 2, 55);
   opts.pool_store = &store;
   const WelfareEstimator first(g, c, opts);
   const std::vector<WelfareStats> a = first.StatsBatch(candidates);
-  EXPECT_EQ(store.stats().pools_built, 1u);
+  EXPECT_EQ(builds.value() - builds_before, 1u);
   const WelfareEstimator second(g, c, opts);
   const std::vector<WelfareStats> b = second.StatsBatch(candidates);
-  EXPECT_EQ(store.stats().pools_built, 1u);
-  EXPECT_GE(store.stats().pool_reuses, 1u);
+  EXPECT_EQ(builds.value() - builds_before, 1u);
+  EXPECT_GE(reuses.value() - reuses_before, 1u);
   for (std::size_t j = 0; j < a.size(); ++j) ExpectStatsBitEqual(a[j], b[j]);
 }
 

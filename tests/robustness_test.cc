@@ -367,12 +367,15 @@ TEST(FailpointTest, RrLoadFailureResamplesBitIdentically) {
   ASSERT_TRUE(failpoints.Set("cache.rr.load", "error(corruption)").ok());
   Counter& resamples =
       MetricsRegistry::Global().GetCounter("store.degraded.rr_resamples");
+  Counter& quarantined =
+      MetricsRegistry::Global().GetCounter("cache.quarantined");
   const uint64_t before = resamples.value();
+  const uint64_t quarantined_before = quarantined.value();
   const ImmResult degraded = Imm(g, 8, params);
   failpoints.Clear("cache.rr.load");
 
   EXPECT_GT(resamples.value(), before);
-  EXPECT_GT(cache.value()->stats().quarantined, 0u);
+  EXPECT_GT(quarantined.value(), quarantined_before);
   for (const ImmResult* other : {&cold, &degraded}) {
     ASSERT_EQ(uncached.seeds, other->seeds);
     ASSERT_EQ(uncached.rr_count, other->rr_count);

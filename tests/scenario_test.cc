@@ -3,13 +3,16 @@
 // JSON-Lines at 1 thread and at DefaultThreads()/4 threads).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/sink.h"
 #include "scenario/sweep.h"
+#include "support/json.h"
 #include "support/thread_pool.h"
 
 namespace cwm {
@@ -205,10 +208,18 @@ TEST(NetworkSpecTest, BuildsTinyGeneratorFamilies) {
   EXPECT_EQ(scaled.value().num_nodes(), 100u);
 }
 
-TEST(SinkTest, JsonEscapingAndDoubles) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(JsonDouble(0.0), "0");
-  EXPECT_EQ(JsonDouble(2.5), "2.5");
+TEST(SinkTest, DoublesRenderInRoundTripForm) {
+  // The sinks render every double through the shared JSON writer.
+  const auto render = [](double value) {
+    std::string out;
+    AppendJsonNumber(&out, value);
+    return out;
+  };
+  EXPECT_EQ(render(0.0), "0");
+  EXPECT_EQ(render(2.5), "2.5");
+  EXPECT_EQ(render(0.1), "0.10000000000000001");
+  EXPECT_EQ(render(-0.0), "0");
+  EXPECT_EQ(render(std::nan("")), "null");
 }
 
 TEST(SweepTest, TinySweepProducesOneRowPerGridCell) {

@@ -26,6 +26,7 @@
 #include <stop_token>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -169,6 +170,36 @@ TEST(ServeProtocolTest, RejectsBadRequests) {
       R"({"graph": "g", "algo": "NoSuchAlgo", "budgets": [1]})");
   ASSERT_FALSE(unknown_algo.ok());
   EXPECT_EQ(unknown_algo.status().code(), Status::Code::kNotFound);
+}
+
+TEST(ServeProtocolTest, RejectsIntegersOutsideIntRange) {
+  // Each would wrap if cast to int: 4294967301 -> 5, 4294967296 -> 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"budgets", R"({"graph":"g","algo":"TCIM","budgets":[4294967301]})"},
+      {"budgets",
+       R"({"graph":"g","algo":"TCIM","budgets":[[2,2],[3,4294967301]]})"},
+      {"budgets", R"({"graph":"g","algo":"TCIM","budgets":[-4294967295]})"},
+      {"items",
+       R"({"graph":"g","algo":"TCIM","budgets":[3],"items":[4294967296]})"},
+      {"sims",
+       R"({"graph":"g","algo":"TCIM","budgets":[3],"sims":2147483648})"},
+      {"eval_sims", R"({"graph":"g","algo":"TCIM","budgets":[3],)"
+                    R"("eval_sims":4294967297})"},
+  };
+  for (const auto& [field, line] : cases) {
+    const StatusOr<ServeRequest> request = ParseServeRequest(line);
+    ASSERT_FALSE(request.ok()) << line;
+    EXPECT_EQ(request.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(request.status().message().find(std::string("'") + field +
+                                              "'"),
+              std::string::npos)
+        << request.status().ToString();
+  }
+  // INT_MAX itself is still an int.
+  const StatusOr<ServeRequest> at_max = ParseServeRequest(
+      R"({"graph":"g","algo":"TCIM","budgets":[3],"sims":2147483647})");
+  ASSERT_TRUE(at_max.ok()) << at_max.status().ToString();
+  EXPECT_EQ(at_max.value().sims, 2147483647);
 }
 
 TEST(ServeProtocolTest, ResolvesBudgetPoints) {
@@ -487,6 +518,39 @@ TEST(ServeServerTest, MalformedAndUnknownRequestsGetStructuredErrors) {
   EXPECT_EQ(ErrorCodeOf(client.ReadLine()), "not_found");
 
   // The connection survives all of the above: a good request still works.
+  client.Send(SmallRequest("after", "SeqGRD-NM", 3));
+  EXPECT_EQ(FieldOf(client.ReadLine(), "ok"), "true");
+  server.value()->Shutdown();
+}
+
+// A budget above the graph's node count is hostile input: the server
+// answers invalid_argument and keeps serving the connection.
+TEST(ServeServerTest, OversizedBudgetIsInvalidAndTheServerKeepsServing) {
+  StatusOr<std::unique_ptr<Server>> server =
+      Server::Start(TestServeConfig());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client(server.value()->port());
+
+  // smoke-tiny has 300 nodes.
+  client.Send(R"({"id": "big", "graph": "tiny", "algo": "TCIM", )"
+              R"("budgets": [301]})");
+  const std::string oversized = client.ReadLine();
+  EXPECT_EQ(ErrorCodeOf(oversized), "invalid_argument") << oversized;
+  EXPECT_EQ(FieldOf(oversized, "id"), "\"big\"");
+
+  // Each item fits but 160 + 160 does not: SeqGRD reports the point
+  // skipped instead of taking the daemon down.
+  client.Send(R"({"id": "sum", "graph": "tiny", "algo": "SeqGRD", )"
+              R"("budgets": [160]})");
+  const std::string summed = client.ReadLine();
+  EXPECT_EQ(FieldOf(summed, "ok"), "true") << summed;
+  const StatusOr<JsonValue> parsed = ParseJson(summed);
+  ASSERT_TRUE(parsed.ok()) << summed;
+  const JsonValue* results = parsed.value().Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->array.size(), 1u);
+  EXPECT_EQ(Canonical(*results->array[0].Find("skipped")), "true");
+
   client.Send(SmallRequest("after", "SeqGRD-NM", 3));
   EXPECT_EQ(FieldOf(client.ReadLine(), "ok"), "true");
   server.value()->Shutdown();

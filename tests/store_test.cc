@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/loader.h"
+#include "obs/metrics.h"
 #include "rrset/imm.h"
 #include "rrset/prima_plus.h"
 #include "rrset/rr_sampler.h"
@@ -52,6 +53,9 @@ class StoreTest : public ::testing::Test {
            ("cwm_store_" + std::to_string(process_token) + "_" +
             std::to_string(counter.fetch_add(1)));
     fs::create_directories(dir_);
+    // Cache events are counted in the process-wide registry only: zero
+    // it so each test counts its own cache from zero.
+    MetricsRegistry::Global().ResetForTest();
   }
   void TearDown() override {
     std::error_code ec;
@@ -64,6 +68,10 @@ class StoreTest : public ::testing::Test {
 
   fs::path dir_;
 };
+
+uint64_t Count(const char* counter) {
+  return MetricsRegistry::Global().CounterValue(counter);
+}
 
 void ExpectGraphsBitIdentical(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -358,10 +366,9 @@ TEST_F(StoreTest, CacheGetOrBuildGraphHitsAreBitIdentical) {
   ASSERT_TRUE(other.ok());
   EXPECT_EQ(builds, 2);
 
-  const CacheStats stats = cache.value()->stats();
-  EXPECT_EQ(stats.graph_hits, 1u);
-  EXPECT_EQ(stats.graph_misses, 2u);
-  EXPECT_GT(stats.bytes_written, 0u);
+  EXPECT_EQ(Count("cache.graph_hits"), 1u);
+  EXPECT_EQ(Count("cache.graph_misses"), 2u);
+  EXPECT_GT(Count("cache.bytes_written"), 0u);
   EXPECT_EQ(cache.value()->List().size(), 2u);
 }
 
@@ -417,7 +424,7 @@ TEST_F(StoreTest, CachedEdgeListLoadIsContentKeyed) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.value().is_external());
   ExpectGraphsBitIdentical(cold.value(), warm.value());
-  EXPECT_EQ(cache.value()->stats().graph_hits, 1u);
+  EXPECT_EQ(Count("cache.graph_hits"), 1u);
 
   // Editing the file changes the content hash: no stale hit.
   {
@@ -428,7 +435,7 @@ TEST_F(StoreTest, CachedEdgeListLoadIsContentKeyed) {
       ReadEdgeListCached(edges, options, cache.value().get());
   ASSERT_TRUE(edited.ok());
   EXPECT_EQ(edited.value().num_edges(), 4u);
-  EXPECT_EQ(cache.value()->stats().graph_misses, 2u);
+  EXPECT_EQ(Count("cache.graph_misses"), 2u);
 }
 
 TEST_F(StoreTest, GraphHeaderPersistsContentHash) {
@@ -491,7 +498,7 @@ TEST_F(StoreTest, CacheReturnsContentHashOnMissHitAndLegacyFiles) {
   StatusOr<Graph> legacy =
       cache.value()->GetOrBuildGraph("hash-recipe", build, &legacy_hash);
   ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(cache.value()->stats().graph_hits, 2u);  // still a hit
+  EXPECT_EQ(Count("cache.graph_hits"), 2u);  // still a hit
   EXPECT_EQ(legacy_hash, miss_hash);
 }
 
@@ -522,7 +529,7 @@ TEST_F(StoreTest, EdgeListSidecarMemoizesTheContentHash) {
   StatusOr<Graph> warm =
       ReadEdgeListCached(edges, options, cache.value().get(), &served_hash);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache.value()->stats().graph_hits, 1u);
+  EXPECT_EQ(Count("cache.graph_hits"), 1u);
   EXPECT_EQ(served_hash, GraphContentHash(warm.value()));
 
   // A forged sidecar (size/mtime identity intact, hash wrong) must
@@ -548,7 +555,7 @@ TEST_F(StoreTest, EdgeListSidecarMemoizesTheContentHash) {
     out << line << source_line << "\n";
   }
   ASSERT_TRUE(ReadEdgeListCached(edges, options, cache.value().get()).ok());
-  EXPECT_EQ(cache.value()->stats().graph_hits, 2u);
+  EXPECT_EQ(Count("cache.graph_hits"), 2u);
   {
     std::ifstream in(sidecar);
     std::string healed;
@@ -560,7 +567,7 @@ TEST_F(StoreTest, EdgeListSidecarMemoizesTheContentHash) {
   // hit), and rewrites the sidecar.
   fs::remove(sidecar);
   ASSERT_TRUE(ReadEdgeListCached(edges, options, cache.value().get()).ok());
-  EXPECT_EQ(cache.value()->stats().graph_hits, 3u);
+  EXPECT_EQ(Count("cache.graph_hits"), 3u);
   EXPECT_TRUE(fs::exists(sidecar));
 
   // A mismatched identity (size changed) ignores the sidecar: the edit
@@ -633,11 +640,11 @@ TEST_F(StoreTest, CachedImmMatchesUncachedBitForBit) {
   params.cache = cache.value().get();
   params.graph_hash = graph_hash;
   const ImmResult cold = Imm(g, 10, params);
-  EXPECT_GT(cache.value()->stats().rr_misses, 0u);
+  EXPECT_GT(Count("cache.rr_misses"), 0u);
 
   params.num_threads = 4;  // warm run on a different thread count
   const ImmResult warm = Imm(g, 10, params);
-  EXPECT_GT(cache.value()->stats().rr_hits, 0u);
+  EXPECT_GT(Count("cache.rr_hits"), 0u);
 
   for (const ImmResult* other : {&cold, &warm}) {
     ASSERT_EQ(uncached.seeds, other->seeds);
@@ -662,7 +669,7 @@ TEST_F(StoreTest, CachedPrimaPlusMatchesUncached) {
   params.graph_hash = GraphContentHash(g);
   const ImmResult cold = PrimaPlus(g, prior, {5}, 5, params);
   const ImmResult warm = PrimaPlus(g, prior, {5}, 5, params);
-  EXPECT_GT(cache.value()->stats().rr_hits, 0u);
+  EXPECT_GT(Count("cache.rr_hits"), 0u);
 
   for (const ImmResult* other : {&cold, &warm}) {
     ASSERT_EQ(uncached.seeds, other->seeds);
@@ -672,7 +679,7 @@ TEST_F(StoreTest, CachedPrimaPlusMatchesUncached) {
   // A different blocked set is a different source id: no false hits.
   const ImmResult different = PrimaPlus(g, {3, 7, 12}, {5}, 5, params);
   (void)different;
-  EXPECT_GT(cache.value()->stats().rr_misses, 0u);
+  EXPECT_GT(Count("cache.rr_misses"), 0u);
 }
 
 // Each RR era is written once, when the IMM driver is done with it: after a
@@ -693,7 +700,9 @@ TEST_F(StoreTest, ColdRunsWriteEachRrEraExactlyOnce) {
 
   const ImmResult imm_cold = Imm(g, 10, params);
   const ImmResult prima_cold = PrimaPlus(g, prior, {3, 5}, 5, params);
-  const CacheStats cold = cache.stats();
+  const uint64_t cold_rr_hits = Count("cache.rr_hits");
+  const uint64_t cold_rr_misses = Count("cache.rr_misses");
+  const uint64_t cold_bytes_written = Count("cache.bytes_written");
   uint64_t cwr_bytes = 0;
   std::size_t cwr_files = 0;
   for (const fs::directory_entry& file :
@@ -703,16 +712,15 @@ TEST_F(StoreTest, ColdRunsWriteEachRrEraExactlyOnce) {
     ++cwr_files;
   }
   EXPECT_EQ(cwr_files, 4u);  // a search era and a final era per run
-  EXPECT_EQ(cold.rr_misses, cwr_files);
+  EXPECT_EQ(cold_rr_misses, cwr_files);
   EXPECT_GT(cwr_bytes, 0u);
-  EXPECT_EQ(cold.bytes_written, cwr_bytes);
+  EXPECT_EQ(cold_bytes_written, cwr_bytes);
 
   const ImmResult imm_warm = Imm(g, 10, params);
   const ImmResult prima_warm = PrimaPlus(g, prior, {3, 5}, 5, params);
-  const CacheStats warm = cache.stats();
-  EXPECT_EQ(warm.rr_hits - cold.rr_hits, cwr_files);
-  EXPECT_EQ(warm.rr_misses, cold.rr_misses);
-  EXPECT_EQ(warm.bytes_written, cold.bytes_written);
+  EXPECT_EQ(Count("cache.rr_hits") - cold_rr_hits, cwr_files);
+  EXPECT_EQ(Count("cache.rr_misses"), cold_rr_misses);
+  EXPECT_EQ(Count("cache.bytes_written"), cold_bytes_written);
   for (const auto& [a, b] : {std::pair(&imm_cold, &imm_warm),
                              std::pair(&prima_cold, &prima_warm)}) {
     EXPECT_EQ(a->seeds, b->seeds);
@@ -736,15 +744,18 @@ TEST_F(StoreTest, SweepColdVsWarmCacheArtifactsAreByteIdentical) {
 
   SweepOptions cache_options = uncached_options;
   cache_options.cache_dir = Path("cache_sweep");
+  const uint64_t graph_misses_before = Count("cache.graph_misses");
   const StatusOr<SweepResult> cold = RunSweep(spec, cache_options);
   ASSERT_TRUE(cold.ok());
   EXPECT_TRUE(cold.value().cache_enabled);
-  EXPECT_GT(cold.value().cache_stats.graph_misses, 0u);
+  EXPECT_GT(Count("cache.graph_misses"), graph_misses_before);
 
+  const uint64_t graph_hits_before = Count("cache.graph_hits");
+  const uint64_t rr_hits_before = Count("cache.rr_hits");
   const StatusOr<SweepResult> warm = RunSweep(spec, cache_options);
   ASSERT_TRUE(warm.ok());
-  EXPECT_GT(warm.value().cache_stats.graph_hits, 0u);
-  EXPECT_GT(warm.value().cache_stats.rr_hits, 0u);
+  EXPECT_GT(Count("cache.graph_hits"), graph_hits_before);
+  EXPECT_GT(Count("cache.rr_hits"), rr_hits_before);
 
   std::ostringstream js_uncached, js_cold, js_warm, csv_cold, csv_warm;
   WriteJsonLines(uncached.value(), js_uncached);
@@ -856,7 +867,7 @@ TEST_F(StoreTest, CacheQuarantinesCorruptEntryAndRebuilds) {
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(builds, 2);
   ExpectGraphsBitIdentical(cold.value(), healed.value());
-  EXPECT_EQ(cache.value()->stats().quarantined, 1u);
+  EXPECT_EQ(Count("cache.quarantined"), 1u);
 
   // The broken bytes (and their sidecar) moved aside, not vanished.
   std::size_t cwg = 0, recipe = 0;
@@ -872,7 +883,7 @@ TEST_F(StoreTest, CacheQuarantinesCorruptEntryAndRebuilds) {
   StatusOr<Graph> warm = cache.value()->GetOrBuildGraph("heal-recipe", build);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(builds, 2);
-  EXPECT_EQ(cache.value()->stats().graph_hits, 1u);
+  EXPECT_EQ(Count("cache.graph_hits"), 1u);
 }
 
 // Degraded-mode write contract: the first failed store flips the cache
@@ -897,7 +908,6 @@ TEST_F(StoreTest, CacheWriteFailureFlipsReadOnlyAndContinues) {
   ASSERT_TRUE(first.ok());  // the failed store must not fail the build
   EXPECT_EQ(builds, 1);
   EXPECT_FALSE(cache.value()->writes_enabled());
-  EXPECT_TRUE(cache.value()->stats().writes_disabled);
 
   // The failpoint is exhausted, but writes stay off: later stores are
   // skipped entirely and the cache keeps serving builds uncached.

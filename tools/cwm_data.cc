@@ -68,6 +68,7 @@
 #include "delta/overlay.h"
 #include "graph/edge_prob.h"
 #include "graph/loader.h"
+#include "obs/metrics.h"
 #include "scenario/scenario.h"
 #include "store/artifact_cache.h"
 #include "store/format.h"
@@ -321,17 +322,19 @@ int CmdBuild(const Args& args) {
     std::fprintf(stderr, "%s\n", cache.status().ToString().c_str());
     return 1;
   }
+  const Counter& graph_hits =
+      MetricsRegistry::Global().GetCounter("cache.graph_hits");
+  const uint64_t hits_before = graph_hits.value();
   StatusOr<Graph> graph = spec.Build(scale, cache.value().get());
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  const CacheStats stats = cache.value()->stats();
   std::printf("%s: %zu nodes, %zu edges, hash %s (%s)\n  %s\n",
               spec.Label().c_str(), graph.value().num_nodes(),
               graph.value().num_edges(),
               HashToHex(GraphContentHash(graph.value())).c_str(),
-              stats.graph_hits > 0 ? "already cached" : "stored",
+              graph_hits.value() > hits_before ? "already cached" : "stored",
               cache.value()->GraphPathFor(spec.CacheRecipe(scale)).c_str());
   return 0;
 }

@@ -63,12 +63,15 @@
 // CWM_THREADS, CWM_INNER_THREADS, CWM_RR_THREADS, CWM_SNAPSHOT_BUDGET_MB,
 // CWM_PACKED) provide defaults; flags win.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/registry.h"
@@ -165,6 +168,13 @@ void ListScenarios() {
                 spec.algorithms.size(), rows);
   }
 }
+
+/// The registry counters behind the per-sweep `cache:` and `pools:`
+/// stderr lines.
+constexpr const char* kSweepCounters[] = {
+    "cache.graph_hits", "cache.graph_misses", "cache.rr_hits",
+    "cache.rr_misses",  "pool.builds",        "pool.reuses",
+    "pool.evictions"};
 
 bool ParseValue(int argc, char** argv, int* i, const char* flag,
                 std::string* out) {
@@ -390,7 +400,17 @@ int main(int argc, char** argv) {
         table.Print(row);
       };
     }
+    // Sweeps run one after another, so a counter's rise across RunSweep
+    // is exactly this sweep's count.
+    const MetricsRegistry& metrics = MetricsRegistry::Global();
+    std::map<std::string_view, uint64_t> before;
+    for (const char* name : kSweepCounters) {
+      before[name] = metrics.CounterValue(name);
+    }
     StatusOr<SweepResult> result = RunSweep(spec, run_options);
+    const auto swept = [&](const char* name) {
+      return metrics.CounterValue(name) - before[name];
+    };
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", spec.name.c_str(),
                    result.status().ToString().c_str());
@@ -407,27 +427,22 @@ int main(int argc, char** argv) {
       // "graphs hits=" / "rr hits=" out of this line (ci.yml), and it
       // must never contaminate --out - (JSONL on stdout). The formatter
       // keeps the key=value grammar that contract depends on.
-      const CacheStats& stats = result.value().cache_stats;
       MetricsLineFormatter line;
-      line.Count("graphs hits", stats.graph_hits)
-          .Count("misses", stats.graph_misses)
+      line.Count("graphs hits", swept("cache.graph_hits"))
+          .Count("misses", swept("cache.graph_misses"))
           .Sep("; ")
-          .Count("rr hits", stats.rr_hits)
-          .Count("misses", stats.rr_misses);
+          .Count("rr hits", swept("cache.rr_hits"))
+          .Count("misses", swept("cache.rr_misses"));
       std::fprintf(stderr, "%s cache: %s\n", spec.name.c_str(),
                    line.str().c_str());
     }
     // Keyed snapshot-pool telemetry (stderr like the cache stats; reuses
     // count estimators served by an already materialized pool).
-    const WorldPoolStoreStats& pools = result.value().pool_stats;
-    if (pools.pools_built > 0 || pools.pool_reuses > 0) {
+    if (swept("pool.builds") > 0 || swept("pool.reuses") > 0) {
       MetricsLineFormatter line;
-      line.Count("built", pools.pools_built)
-          .Count("reused", pools.pool_reuses)
-          .Count("evicted", pools.pools_evicted)
-          .Fixed("resident",
-                 static_cast<double>(pools.resident_bytes) / (1 << 20), 1,
-                 "MB");
+      line.Count("built", swept("pool.builds"))
+          .Count("reused", swept("pool.reuses"))
+          .Count("evicted", swept("pool.evictions"));
       std::fprintf(stderr, "%s pools: %s\n", spec.name.c_str(),
                    line.str().c_str());
     }
