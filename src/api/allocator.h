@@ -14,8 +14,10 @@
 // repo-wide bit-reproducibility guarantees.
 //
 // Layering: this header and api/registry.h depend on graph/, model/,
-// algo/params.h, rrset/ and simulate/ — never on scenario/ (only the
-// Engine facade consumes the declarative NetworkSpec/ConfigSpec types).
+// algo/params.h, rrset/ and simulate/. No api/ header includes scenario/
+// or serve/ (scripts/check_api_headers.sh fails if one does): the Engine
+// facade takes the declarative NetworkSpec/ConfigSpec types from
+// exp/specs.h, a layer below.
 // Algorithm modules implement adapters in their own .cc files and expose
 // a Register*(AllocatorRegistry&) hook (declared in their headers with a
 // forward declaration only), so no algorithm header depends on this one.

@@ -39,7 +39,7 @@
 #include "delta/delta_log.h"
 #include "delta/overlay.h"
 #include "delta/rr_patch.h"
-#include "scenario/scenario.h"
+#include "exp/specs.h"
 #include "simulate/world_pool.h"
 #include "store/artifact_cache.h"
 #include "support/status.h"

@@ -101,7 +101,6 @@ void RunTask(const ScenarioSpec& spec, const ScenarioTask& task,
       .num_worlds = sims,
       .seed = MixHash(algo_seed, kEstTag),
       .num_threads = options.inner_threads,
-      .snapshot_budget_bytes = options.snapshot_budget_bytes,
       .packed_kernel = options.packed_kernel};
   // Positional allocators share one cell-keyed ranking, so RR / Snake /
   // BlockUtil differ only in the item-to-position assignment (§6.4.3).

@@ -65,18 +65,20 @@ std::size_t WelfareEstimator::BudgetBytes() const {
                                         : options_.snapshot_budget_bytes;
 }
 
+WorldPoolStore& WelfareEstimator::Store() const {
+  if (options_.pool_store != nullptr) return *options_.pool_store;
+  if (own_store_ == nullptr) {
+    own_store_ =
+        std::make_unique<WorldPoolStore>(options_.snapshot_budget_bytes);
+  }
+  return *own_store_;
+}
+
 const WorldPool& WelfareEstimator::EnsurePool() const {
   const std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_ == nullptr) {
-    if (options_.pool_store != nullptr) {
-      pool_ = options_.pool_store->GetOrBuild(graph_, config_, options_.seed,
-                                              options_.num_worlds,
-                                              NumThreads());
-    } else {
-      pool_ = std::make_shared<const WorldPool>(
-          graph_, config_, options_.seed, options_.num_worlds,
-          options_.snapshot_budget_bytes, NumThreads());
-    }
+    pool_ = Store().GetOrBuild(graph_, config_, options_.seed,
+                               options_.num_worlds, NumThreads());
     // Worlds past the snapshot budget stream lazily (bit-identical,
     // just slower); count them so a silently under-budgeted run shows
     // up in `--metrics` instead of only in wall time.
@@ -126,16 +128,10 @@ const PackedWorldSet* WelfareEstimator::EnsurePacked() const {
 
   CWM_TRACE_SPAN("simulate.pack_worlds",
                  {{"worlds", options_.num_worlds}, {"chunks", chunks}});
-  if (options_.pool_store != nullptr) {
-    packed_ = options_.pool_store->GetOrBuildPacked(
-        graph_, config_, options_.seed, options_.num_worlds, chunks,
-        NumThreads());
-    if (packed_ == nullptr) fallback.Add(1);
-  } else {
-    packed_ = std::make_shared<const PackedWorldSet>(
-        graph_, config_, options_.seed, options_.num_worlds, chunks,
-        NumThreads());
-  }
+  packed_ = Store().GetOrBuildPacked(graph_, config_, options_.seed,
+                                     options_.num_worlds, chunks,
+                                     NumThreads());
+  if (packed_ == nullptr) fallback.Add(1);
   return packed_.get();
 }
 

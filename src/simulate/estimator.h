@@ -63,18 +63,19 @@ struct EstimatorOptions {
   uint64_t seed = 0x5eedu;
   /// Worker threads (0 = hardware concurrency).
   unsigned num_threads = 0;
-  /// Byte budget for the world-snapshot pool backing the batch API
-  /// (CWM_SNAPSHOT_BUDGET_MB in the sweep engine). Worlds whose
-  /// snapshots exceed the budget are streamed lazily instead; 0 disables
+  /// Byte budget for the materialized worlds backing the batch API
+  /// (CWM_SNAPSHOT_BUDGET_MB in the sweep engine). Without a pool_store it
+  /// sizes the estimator's own WorldPoolStore. Worlds whose snapshots
+  /// exceed the budget are streamed lazily instead; 0 disables
   /// materialization entirely. Never changes results — only wall time.
   std::size_t snapshot_budget_bytes = 256ull << 20;
-  /// Optional shared pool store (simulate/world_pool.h). When set, the
-  /// estimator resolves its snapshot pool through the store's
-  /// (graph, config, seed, num_worlds) key instead of building a private
-  /// one, so estimators with the same world-sequence identity share the
-  /// materialization and the *store's* budget governs (this option's
-  /// snapshot_budget_bytes is ignored). Not owned; must outlive the
-  /// estimator. Never changes results — only wall time.
+  /// Optional shared pool store (simulate/world_pool.h). Estimators always
+  /// resolve their worlds through a store's (graph, config, seed,
+  /// num_worlds) key; with this set, estimators with the same
+  /// world-sequence identity share the materialization and the *shared
+  /// store's* budget governs (this option's snapshot_budget_bytes is
+  /// ignored). Not owned; must outlive the estimator. Never changes
+  /// results — only wall time.
   WorldPoolStore* pool_store = nullptr;
   /// Evaluate batch calls with the word-parallel kernel
   /// (simulate/packed_world.h): 64 worlds per machine word instead of one
@@ -256,13 +257,17 @@ class WelfareEstimator {
   /// Byte budget of materialized worlds: the store's when one is set.
   std::size_t BudgetBytes() const;
 
-  /// The lazily built snapshot pool (one per estimator lifetime).
+  /// options_.pool_store, or the estimator's own store sized by
+  /// snapshot_budget_bytes, made on first use. Caller holds pool_mutex_.
+  WorldPoolStore& Store() const;
+
+  /// The snapshot pool, resolved through Store() once per lifetime.
   const WorldPool& EnsurePool() const;
 
-  /// The lazily built packed world set, or nullptr when the packed path
-  /// is unavailable (knob off, too few worlds, too many items, or over
-  /// budget) — callers take the scalar snapshot path then. Resolved once
-  /// per estimator lifetime.
+  /// The packed world set, resolved through Store() on first use, or
+  /// nullptr when the packed path is unavailable (knob off, too few
+  /// worlds, too many items, or over budget) — callers take the scalar
+  /// snapshot path then. Resolved once per estimator lifetime.
   const PackedWorldSet* EnsurePacked() const;
 
   const Graph& graph_;
@@ -270,6 +275,7 @@ class WelfareEstimator {
   EstimatorOptions options_;
 
   mutable std::mutex pool_mutex_;
+  mutable std::unique_ptr<WorldPoolStore> own_store_;
   mutable std::shared_ptr<const WorldPool> pool_;
   mutable std::shared_ptr<const PackedWorldSet> packed_;
   mutable bool packed_resolved_ = false;

@@ -67,12 +67,16 @@ void FlipLanes(std::span<const uint64_t> thresholds,
 
 PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
                                uint64_t seed, int num_worlds,
-                               std::size_t chunks, unsigned num_threads)
+                               std::size_t chunks, unsigned num_threads,
+                               const PackedWorldSet* prior,
+                               EdgeId first_dirty_edge)
     : num_worlds_(num_worlds) {
   CWM_CHECK(num_worlds >= 1);
   CWM_CHECK(chunks >= 1);
   const int m = config.num_items();
   CWM_CHECK(m >= 1 && m <= kMaxPackedItems);
+  CWM_CHECK(prior == nullptr ||
+            (prior->num_worlds_ == num_worlds && prior->chunks() == chunks));
 
   struct Job {
     std::size_t chunk;
@@ -90,6 +94,12 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
   const std::size_t pairs = NumPairs(m);
   const std::size_t table_size = std::size_t{1} << m;
   const std::vector<uint64_t> thresholds = CoinThresholds(graph);
+  // Edge coins are keyed by positional EdgeId, so every mask word of a
+  // prior below the watermark is identical to this graph's.
+  const std::size_t clean =
+      prior == nullptr
+          ? 0
+          : std::min<std::size_t>(first_dirty_edge, thresholds.size());
   ParallelFor(
       jobs.size(),
       [&](std::size_t j) {
@@ -102,13 +112,25 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
                             ? ~uint64_t{0}
                             : (uint64_t{1} << blk.lane_count) - 1;
         blk.edge_mask.resize(graph.num_edges());
+        // Live-edge lanes: the same WorldEdgeSeedOf streams and the same
+        // coins as the lazy/snapshot paths; only the dirty suffix
+        // re-flips when a prior supplies the clean prefix.
+        FlipLanes(thresholds, LaneSeeds(seed, chunks, c, b, blk.lane_count),
+                  blk.lane_count, clean, &blk.edge_mask);
+        if (prior != nullptr) {
+          const Block& old = prior->chunk_blocks_[c][b];
+          std::copy(old.edge_mask.begin(),
+                    old.edge_mask.begin() + static_cast<std::ptrdiff_t>(clean),
+                    blk.edge_mask.begin());
+          // The noise-derived planes never read the graph: copy verbatim.
+          blk.utility = old.utility;
+          blk.adopt_plane = old.adopt_plane;
+          blk.adopt_changed = old.adopt_changed;
+          return;
+        }
         blk.utility.assign(std::size_t{kPackedLanes} << m, 0.0);
         blk.adopt_plane.assign(pairs * m, 0);
         blk.adopt_changed.assign(pairs, 0);
-        // Live-edge lanes: the same WorldEdgeSeedOf streams and the same
-        // coins as the lazy/snapshot paths.
-        FlipLanes(thresholds, LaneSeeds(seed, chunks, c, b, blk.lane_count),
-                  blk.lane_count, 0, &blk.edge_mask);
         for (int l = 0; l < blk.lane_count; ++l) {
           const int world = WorldOfLane(chunks, c, b, l);
           const uint64_t bit = uint64_t{1} << l;
@@ -131,56 +153,6 @@ PackedWorldSet::PackedWorldSet(const Graph& graph, const UtilityConfig& config,
             });
           }
         }
-      },
-      num_threads);
-
-  for (const auto& blocks : chunk_blocks_) {
-    for (const Block& blk : blocks) bytes_ += blk.bytes();
-  }
-}
-
-PackedWorldSet::PackedWorldSet(const Graph& graph, const PackedWorldSet& prior,
-                               uint64_t seed, EdgeId first_dirty_edge,
-                               unsigned num_threads)
-    : num_worlds_(prior.num_worlds_) {
-  const std::size_t chunks = prior.chunk_blocks_.size();
-  struct Job {
-    std::size_t chunk;
-    std::size_t block;
-  };
-  std::vector<Job> jobs;
-  chunk_blocks_.resize(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    chunk_blocks_[c].resize(prior.chunk_blocks_[c].size());
-    for (std::size_t b = 0; b < chunk_blocks_[c].size(); ++b) {
-      jobs.push_back({c, b});
-    }
-  }
-
-  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
-  const std::size_t clean =
-      std::min<std::size_t>(first_dirty_edge, thresholds.size());
-  ParallelFor(
-      jobs.size(),
-      [&](std::size_t j) {
-        const auto [c, b] = jobs[j];
-        Block& blk = chunk_blocks_[c][b];
-        const Block& old = prior.chunk_blocks_[c][b];
-        blk.lane_count = old.lane_count;
-        blk.lane_mask = old.lane_mask;
-        // The noise-derived planes never read the graph: copy verbatim.
-        blk.utility = old.utility;
-        blk.adopt_plane = old.adopt_plane;
-        blk.adopt_changed = old.adopt_changed;
-        // Edge coins are keyed by positional EdgeId, so every word below
-        // the watermark is identical to the prior's; only the dirty
-        // suffix re-flips.
-        blk.edge_mask.resize(thresholds.size());
-        std::copy(old.edge_mask.begin(),
-                  old.edge_mask.begin() + static_cast<std::ptrdiff_t>(clean),
-                  blk.edge_mask.begin());
-        FlipLanes(thresholds, LaneSeeds(seed, chunks, c, b, blk.lane_count),
-                  blk.lane_count, clean, &blk.edge_mask);
       },
       num_threads);
 

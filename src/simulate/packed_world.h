@@ -94,23 +94,21 @@ class PackedWorldSet {
   /// (simulate/world.h streams), laid out for a `chunks`-way chunk-strided
   /// evaluation. Building parallelizes over blocks with `num_threads`
   /// workers; block content never depends on the thread count.
+  ///
+  /// With a `prior` the build is an incremental repack after a delta:
+  /// `prior` is the same identity (seed, num_worlds, chunks — checked)
+  /// packed against the graph `graph` was derived from, and every forward
+  /// edge below `first_dirty_edge` is position-, endpoint- and
+  /// probability-identical between the two graphs (delta/overlay.h).
+  /// Edge-mask words below the watermark are copied — the lane coins are
+  /// keyed by positional EdgeId, so they cannot differ — and only edges
+  /// at or above it re-flip per lane. The noise-derived planes (utility,
+  /// adoption transitions) are graph-independent and copy verbatim.
+  /// Bit-identical to the build without a prior.
   PackedWorldSet(const Graph& graph, const UtilityConfig& config,
                  uint64_t seed, int num_worlds, std::size_t chunks,
-                 unsigned num_threads);
-
-  /// Incremental repack after a delta: `prior` is the same identity
-  /// (seed, num_worlds, chunks) packed against the graph `graph` was
-  /// derived from, and every forward edge below `first_dirty_edge` is
-  /// position-, endpoint- and probability-identical between the two
-  /// graphs (delta/overlay.h). Edge-mask words below the watermark are
-  /// copied — the lane coins are keyed by positional EdgeId, so they
-  /// cannot differ — and only edges at or above it re-flip per lane. The
-  /// noise-derived planes (utility, adoption transitions) are
-  /// graph-independent and copy verbatim. Bit-identical to the cold
-  /// constructor on `graph`.
-  PackedWorldSet(const Graph& graph, const PackedWorldSet& prior,
-                 uint64_t seed, EdgeId first_dirty_edge,
-                 unsigned num_threads);
+                 unsigned num_threads, const PackedWorldSet* prior = nullptr,
+                 EdgeId first_dirty_edge = 0);
 
   /// The blocks of chunk `c`, in world order.
   std::span<const Block> ChunkBlocks(std::size_t c) const {

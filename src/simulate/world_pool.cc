@@ -11,44 +11,12 @@
 
 namespace cwm {
 
-namespace {
-
-// One snapshot-build scratch per worker ParallelForWorkers can run over
-// `worlds` worlds, all sharing `thresholds`.
-std::vector<WorldSnapshot::Scratch> WorkerScratch(
-    std::span<const uint64_t> thresholds, std::size_t worlds,
-    unsigned num_threads) {
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(
-             num_threads == 0 ? DefaultThreads() : num_threads, worlds));
-  std::vector<WorldSnapshot::Scratch> scratch(workers);
-  for (WorldSnapshot::Scratch& s : scratch) s.thresholds = thresholds;
-  return scratch;
-}
-
-}  // namespace
-
 WorldSnapshot::WorldSnapshot(const Graph& graph, const UtilityConfig& config,
                              uint64_t edge_seed, Rng noise_rng,
-                             Scratch* scratch)
-    : table_(config, noise_rng) {
-  std::vector<uint64_t> thresholds;
-  Scratch local;
-  if (scratch == nullptr) {
-    thresholds = CoinThresholds(graph);
-    local.thresholds = thresholds;
-    scratch = &local;
-  }
-  offsets_.resize(graph.num_nodes() + 1);
-  offsets_[0] = 0;
-  const std::size_t live = FlipSuffix(graph, edge_seed, 0, 0, *scratch);
-  targets_.assign(scratch->live.begin(), scratch->live.begin() + live);
-}
-
-WorldSnapshot::WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
-                             uint64_t edge_seed, EdgeId first_dirty_edge,
-                             Scratch* scratch)
-    : table_(prior.table_) {
+                             Scratch* scratch, const WorldSnapshot* prior,
+                             EdgeId first_dirty_edge)
+    : table_(prior != nullptr ? prior->table_
+                              : WorldUtilityTable(config, noise_rng)) {
   std::vector<uint64_t> thresholds;
   Scratch local;
   if (scratch == nullptr) {
@@ -57,7 +25,6 @@ WorldSnapshot::WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
     scratch = &local;
   }
   const std::size_t n = graph.num_nodes();
-  const std::span<const uint64_t> offsets = graph.RawOutOffsets();
   offsets_.resize(n + 1);
   offsets_[0] = 0;
   // Nodes whose whole out-range sits below the dirty watermark have
@@ -65,14 +32,20 @@ WorldSnapshot::WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
   // their coins — keyed by positional EdgeId — cannot differ: copy their
   // live targets from the prior world instead of re-flipping.
   NodeId resume = 0;
-  while (resume < n && offsets[resume + 1] <= first_dirty_edge) ++resume;
-  const uint32_t clean = prior.offsets_[resume];
-  std::copy(prior.offsets_.begin() + 1, prior.offsets_.begin() + resume + 1,
-            offsets_.begin() + 1);
+  uint32_t clean = 0;
+  if (prior != nullptr) {
+    const std::span<const uint64_t> offsets = graph.RawOutOffsets();
+    while (resume < n && offsets[resume + 1] <= first_dirty_edge) ++resume;
+    clean = prior->offsets_[resume];
+    std::copy(prior->offsets_.begin() + 1,
+              prior->offsets_.begin() + resume + 1, offsets_.begin() + 1);
+  }
   const std::size_t live =
       FlipSuffix(graph, edge_seed, resume, clean, *scratch);
   targets_.reserve(clean + live);
-  targets_.assign(prior.targets_.begin(), prior.targets_.begin() + clean);
+  if (prior != nullptr) {
+    targets_.assign(prior->targets_.begin(), prior->targets_.begin() + clean);
+  }
   targets_.insert(targets_.end(), scratch->live.begin(),
                   scratch->live.begin() + live);
 }
@@ -117,14 +90,19 @@ std::size_t EstimateSnapshotBytes(const Graph& graph) {
 WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
                      uint64_t seed, int num_worlds,
                      std::size_t budget_bytes, unsigned num_threads,
-                     std::size_t per_world_bytes)
+                     std::size_t per_world_bytes, const WorldPool* prior,
+                     EdgeId first_dirty_edge)
     : num_worlds_(num_worlds) {
   // Materialization disabled: skip even the footprint-estimate edge scan.
   if (budget_bytes == 0) return;
-  CWM_TRACE_SPAN("simulate.materialize_pool",
-                 {{"worlds", num_worlds},
-                  {"budget_bytes", budget_bytes},
-                  {"seed", seed}});
+  CWM_TRACE_SPAN(
+      prior == nullptr ? "simulate.materialize_pool" : "simulate.patch_pool",
+      {{"worlds", num_worlds},
+       {"budget_bytes", budget_bytes},
+       prior == nullptr ? TraceArg{"seed", seed}
+                        : TraceArg{"first_dirty_edge", first_dirty_edge}});
+  // The prefix cutoff depends on `graph` and the budget alone, so patched
+  // and cold pools materialize the same worlds.
   if (per_world_bytes == 0) per_world_bytes = EstimateSnapshotBytes(graph);
   const std::size_t limit = budget_bytes / per_world_bytes;
   const std::size_t prefix =
@@ -132,56 +110,20 @@ WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
 
   snapshots_.resize(prefix);
   if (prefix == 0) return;
+  // One build scratch per worker ParallelForWorkers can run, all sharing
+  // one coin threshold table.
   const std::vector<uint64_t> thresholds = CoinThresholds(graph);
-  std::vector<WorldSnapshot::Scratch> scratch =
-      WorkerScratch(thresholds, prefix, num_threads);
-  ParallelForWorkers(
-      prefix,
-      [&](std::size_t worker, std::size_t w) {
-        snapshots_[w] = std::make_unique<WorldSnapshot>(
-            graph, config, WorldEdgeSeedOf(seed, static_cast<int>(w)),
-            WorldNoiseRngOf(seed, static_cast<int>(w)), &scratch[worker]);
-      },
-      num_threads);
-}
-
-WorldPool::WorldPool(const Graph& graph, const UtilityConfig& config,
-                     uint64_t seed, int num_worlds,
-                     std::size_t budget_bytes, unsigned num_threads,
-                     std::size_t per_world_bytes, const WorldPool& prior,
-                     EdgeId first_dirty_edge)
-    : num_worlds_(num_worlds) {
-  if (budget_bytes == 0) return;
-  CWM_TRACE_SPAN("simulate.patch_pool",
-                 {{"worlds", num_worlds},
-                  {"budget_bytes", budget_bytes},
-                  {"first_dirty_edge", first_dirty_edge}});
-  // The prefix cutoff is recomputed on the *new* graph exactly as the
-  // cold constructor computes it, so patched and cold pools materialize
-  // the same worlds; only the per-world construction differs.
-  if (per_world_bytes == 0) per_world_bytes = EstimateSnapshotBytes(graph);
-  const std::size_t limit = budget_bytes / per_world_bytes;
-  const std::size_t prefix =
-      std::min<std::size_t>(static_cast<std::size_t>(num_worlds), limit);
-
-  snapshots_.resize(prefix);
-  if (prefix == 0) return;
-  const std::vector<uint64_t> thresholds = CoinThresholds(graph);
-  std::vector<WorldSnapshot::Scratch> scratch =
-      WorkerScratch(thresholds, prefix, num_threads);
+  std::vector<WorldSnapshot::Scratch> scratch(std::min<std::size_t>(
+      num_threads == 0 ? DefaultThreads() : num_threads, prefix));
+  for (WorldSnapshot::Scratch& s : scratch) s.thresholds = thresholds;
   ParallelForWorkers(
       prefix,
       [&](std::size_t worker, std::size_t w) {
         const int world = static_cast<int>(w);
-        const WorldSnapshot* prev = prior.Get(world);
-        snapshots_[w] =
-            prev != nullptr
-                ? std::make_unique<WorldSnapshot>(
-                      graph, *prev, WorldEdgeSeedOf(seed, world),
-                      first_dirty_edge, &scratch[worker])
-                : std::make_unique<WorldSnapshot>(
-                      graph, config, WorldEdgeSeedOf(seed, world),
-                      WorldNoiseRngOf(seed, world), &scratch[worker]);
+        snapshots_[w] = std::make_unique<WorldSnapshot>(
+            graph, config, WorldEdgeSeedOf(seed, world),
+            WorldNoiseRngOf(seed, world), &scratch[worker],
+            prior != nullptr ? prior->Get(world) : nullptr, first_dirty_edge);
       },
       num_threads);
 }
@@ -193,32 +135,6 @@ WorldPoolStats WorldPool::stats() const {
   for (const auto& snapshot : snapshots_) stats.bytes += snapshot->bytes();
   return stats;
 }
-
-namespace {
-
-// The one count of pool events, summed over every store of the process:
-// `--metrics` dumps these counters and cwm_run prints their per-sweep
-// differences.
-Counter& PoolBuildsCounter() {
-  static Counter& counter = MetricsRegistry::Global().GetCounter("pool.builds");
-  return counter;
-}
-Counter& PoolReusesCounter() {
-  static Counter& counter = MetricsRegistry::Global().GetCounter("pool.reuses");
-  return counter;
-}
-Counter& PoolEvictionsCounter() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("pool.evictions");
-  return counter;
-}
-Counter& PoolPatchesCounter() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("pool.patches");
-  return counter;
-}
-
-}  // namespace
 
 std::size_t WorldPoolStore::FootprintOf(const Graph& graph) {
   auto [it, inserted] = footprints_.try_emplace(&graph);
@@ -278,7 +194,7 @@ std::size_t WorldPoolStore::EvictFor(std::size_t desired) {
     auto victim = pools_.end();
     for (auto it = pools_.begin(); it != pools_.end(); ++it) {
       if (!it->second.ready.load(std::memory_order_relaxed)) continue;
-      if (it->second.use_count() > 1) continue;
+      if (it->second.artifact.use_count() > 1) continue;
       if (victim == pools_.end() ||
           it->second.last_use.load(std::memory_order_relaxed) <
               victim->second.last_use.load(std::memory_order_relaxed)) {
@@ -288,28 +204,36 @@ std::size_t WorldPoolStore::EvictFor(std::size_t desired) {
     if (victim == pools_.end()) break;
     resident -= victim->second.bytes;
     pools_.erase(victim);
-    PoolEvictionsCounter().Add(1);
+    static Counter& evictions =
+        MetricsRegistry::Global().GetCounter("pool.evictions");
+    evictions.Add(1);
   }
   return resident;
 }
 
-std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
-    const Graph& graph, const UtilityConfig& config, uint64_t seed,
-    int num_worlds, unsigned num_threads) {
-  const Key key{&graph, &config, seed, num_worlds, /*chunks=*/0};
-
-  // Fast path: resident pools serve under a shared lock, so concurrent
+template <typename T, typename PlanFn, typename BuildFn>
+std::shared_ptr<const T> WorldPoolStore::GetOrBuildEntry(const Key& key,
+                                                         PlanFn plan,
+                                                         BuildFn build) {
+  // The pool.* counters are the one count of pool events, summed over
+  // every store of the process: `--metrics` dumps them and cwm_run prints
+  // their per-sweep differences. Each registers at its first event.
+  const auto reuse = [this](Entry& entry) {
+    static Counter& reuses =
+        MetricsRegistry::Global().GetCounter("pool.reuses");
+    reuses.Add(1);
+    entry.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+    return std::static_pointer_cast<const T>(entry.artifact);
+  };
+  // Fast path: resident entries serve under a shared lock, so concurrent
   // requests (a serving worker pool evaluating many requests against one
-  // engine) never contend once the pool exists.
+  // engine) never contend once the artifact exists.
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     if (auto it = pools_.find(key);
         it != pools_.end() && it->second.ready.load(std::memory_order_acquire)) {
-      PoolReusesCounter().Add(1);
-      it->second.last_use.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      return it->second.pool;
+      return reuse(it->second);
     }
   }
 
@@ -318,153 +242,117 @@ std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
     auto it = pools_.find(key);
     if (it == pools_.end()) break;
     if (it->second.ready.load(std::memory_order_acquire)) {
-      PoolReusesCounter().Add(1);
-      it->second.last_use.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      return it->second.pool;
+      return reuse(it->second);
     }
     // Another thread is building this key: wait on its build outside the
     // lock, then re-check (the finished entry could have been evicted in
     // the window, in which case we become the builder).
-    std::shared_future<void> build = it->second.build;
+    std::shared_future<void> pending = it->second.build;
     lock.unlock();
-    build.wait();
+    pending.wait();
     lock.lock();
   }
 
-  // Miss: reserve the key and its budget estimate under the lock, build
-  // outside it. One footprint estimate per graph feeds the reservation,
-  // the eviction target, and the pool's own prefix cutoff.
-  const std::size_t per_world_bytes = FootprintOf(graph);
-  // A resident pre-delta pool with this identity turns the build into a
-  // prefix-copy patch. Pin it before the eviction scan (the pin also
-  // shields it from being evicted out from under the build).
+  // Miss: reserve the key and its budget under the lock, build outside
+  // it. A resident pre-delta entry with this identity turns the build
+  // into a prefix-copy patch. Pin it before the eviction scan (the pin
+  // also shields it from being evicted out from under the build).
+  const Plan want = plan();
   EdgeId watermark = 0;
-  std::shared_ptr<const WorldPool> prior;
+  std::shared_ptr<const T> prior;
   if (const Entry* source = FindPatchSource(key, &watermark);
       source != nullptr) {
-    prior = source->pool;
+    prior = std::static_pointer_cast<const T>(source->artifact);
   }
-  const std::size_t desired = std::min(
-      budget_bytes_, per_world_bytes * static_cast<std::size_t>(num_worlds));
-  const std::size_t resident = EvictFor(desired);
+  // An all-or-nothing artifact has no per-world fallback, so it is refused
+  // unless evicting every unreferenced ready entry would make room — and
+  // then before anything is evicted or reserved. A refusal inserts no
+  // entry: concurrent same-key callers each re-evaluate, which only costs
+  // repeated scans, never repeated builds.
+  if (want.all_or_nothing) {
+    std::size_t held = 0;
+    for (const auto& [k, entry] : pools_) {
+      if (!entry.ready.load(std::memory_order_relaxed) ||
+          entry.artifact.use_count() > 1) {
+        held += entry.bytes;
+      }
+    }
+    if (held + want.bytes > budget_bytes_) return nullptr;
+  }
+  const std::size_t resident = EvictFor(want.bytes);
   const std::size_t remaining =
       budget_bytes_ > resident ? budget_bytes_ - resident : 0;
   std::promise<void> done;
   auto [it, inserted] = pools_.try_emplace(key);
   CWM_CHECK(inserted);
   Entry& entry = it->second;
-  entry.bytes = std::min(desired, remaining);  // reservation until built
+  entry.bytes = std::min(want.bytes, remaining);  // reservation until built
   entry.build = done.get_future().share();
   entry.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
   lock.unlock();
 
-  auto pool =
-      prior != nullptr
-          ? std::make_shared<const WorldPool>(graph, config, seed,
-                                              num_worlds, remaining,
-                                              num_threads, per_world_bytes,
-                                              *prior, watermark)
-          : std::make_shared<const WorldPool>(graph, config, seed,
-                                              num_worlds, remaining,
-                                              num_threads, per_world_bytes);
+  auto [artifact, bytes] = build(prior.get(), watermark, remaining);
 
   lock.lock();
-  entry.pool = pool;  // the entry cannot be evicted while !ready
-  entry.bytes = pool->stats().bytes;
+  entry.artifact = artifact;  // the entry cannot be evicted while !ready
+  entry.bytes = bytes;
   entry.ready.store(true, std::memory_order_release);
-  PoolBuildsCounter().Add(1);
-  if (prior != nullptr) PoolPatchesCounter().Add(1);
+  static Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  builds.Add(1);
+  if (prior != nullptr) {  // a patch is also a build
+    static Counter& patches =
+        MetricsRegistry::Global().GetCounter("pool.patches");
+    patches.Add(1);
+  }
   lock.unlock();
   done.set_value();
-  return pool;
+  return artifact;
+}
+
+std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
+    const Graph& graph, const UtilityConfig& config, uint64_t seed,
+    int num_worlds, unsigned num_threads) {
+  // One footprint estimate per graph feeds the reservation, the eviction
+  // target, and the pool's own prefix cutoff.
+  std::size_t per_world_bytes = 0;
+  return GetOrBuildEntry<WorldPool>(
+      Key{&graph, &config, seed, num_worlds, /*chunks=*/0},
+      [&] {
+        per_world_bytes = FootprintOf(graph);
+        return Plan{std::min(budget_bytes_,
+                             per_world_bytes *
+                                 static_cast<std::size_t>(num_worlds)),
+                    /*all_or_nothing=*/false};
+      },
+      [&](const WorldPool* prior, EdgeId watermark, std::size_t remaining) {
+        auto pool = std::make_shared<const WorldPool>(
+            graph, config, seed, num_worlds, remaining, num_threads,
+            per_world_bytes, prior, watermark);
+        return std::pair{pool, pool->stats().bytes};
+      });
 }
 
 std::shared_ptr<const PackedWorldSet> WorldPoolStore::GetOrBuildPacked(
     const Graph& graph, const UtilityConfig& config, uint64_t seed,
     int num_worlds, std::size_t chunks, unsigned num_threads) {
-  // Same counters and build discipline as GetOrBuild: a packed set is the
-  // same cached artifact (one key's materialized world sequence) in a
-  // different layout, so the `--metrics` pool counters and the stderr
-  // "pools:" line cover both.
-  const Key key{&graph, &config, seed, num_worlds, chunks};
-
-  {
-    const std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (auto it = pools_.find(key);
-        it != pools_.end() && it->second.ready.load(std::memory_order_acquire)) {
-      PoolReusesCounter().Add(1);
-      it->second.last_use.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      return it->second.packed;
-    }
-  }
-
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  for (;;) {
-    auto it = pools_.find(key);
-    if (it == pools_.end()) break;
-    if (it->second.ready.load(std::memory_order_acquire)) {
-      PoolReusesCounter().Add(1);
-      it->second.last_use.store(
-          tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      return it->second.packed;
-    }
-    std::shared_future<void> build = it->second.build;
-    lock.unlock();
-    build.wait();
-    lock.lock();
-  }
-
-  // All-or-nothing: a partially packed set has no transparent fallback
-  // per world, so refuse (before reserving anything) rather than
-  // overshoot the budget. A refusal inserts no entry — concurrent
-  // same-key callers each re-evaluate, which only costs repeated
-  // eviction scans, never repeated builds.
-  const std::size_t desired = PackedWorldSet::EstimateBytes(
-      graph, config.num_items(), num_worlds, chunks);
-  if (desired > budget_bytes_) return nullptr;
-  // Same patch opportunity as the snapshot path: a resident pre-delta
-  // packed set with this identity is prefix-copied below the watermark.
-  EdgeId watermark = 0;
-  std::shared_ptr<const PackedWorldSet> prior;
-  if (const Entry* source = FindPatchSource(key, &watermark);
-      source != nullptr) {
-    prior = source->packed;
-  }
-  const std::size_t resident = EvictFor(desired);
-  if (resident + desired > budget_bytes_) return nullptr;
-
-  std::promise<void> done;
-  auto [it, inserted] = pools_.try_emplace(key);
-  CWM_CHECK(inserted);
-  Entry& entry = it->second;
-  entry.bytes = desired;  // reservation until built
-  entry.build = done.get_future().share();
-  entry.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-  lock.unlock();
-
-  auto packed =
-      prior != nullptr
-          ? std::make_shared<const PackedWorldSet>(graph, *prior, seed,
-                                                   watermark, num_threads)
-          : std::make_shared<const PackedWorldSet>(
-                graph, config, seed, num_worlds, chunks, num_threads);
-
-  lock.lock();
-  entry.packed = packed;
-  entry.bytes = packed->bytes();
-  entry.ready.store(true, std::memory_order_release);
-  PoolBuildsCounter().Add(1);
-  if (prior != nullptr) PoolPatchesCounter().Add(1);
-  lock.unlock();
-  done.set_value();
-  return packed;
+  // A packed set is the same cached artifact (one key's materialized
+  // world sequence) in a different layout, so it shares the pool counters
+  // and the stderr "pools:" line; lane packing cannot stop partway, so
+  // its plan is all-or-nothing.
+  return GetOrBuildEntry<PackedWorldSet>(
+      Key{&graph, &config, seed, num_worlds, chunks},
+      [&] {
+        return Plan{PackedWorldSet::EstimateBytes(graph, config.num_items(),
+                                                  num_worlds, chunks),
+                    /*all_or_nothing=*/true};
+      },
+      [&](const PackedWorldSet* prior, EdgeId watermark, std::size_t) {
+        auto packed = std::make_shared<const PackedWorldSet>(
+            graph, config, seed, num_worlds, chunks, num_threads, prior,
+            watermark);
+        return std::pair{packed, packed->bytes()};
+      });
 }
 
 }  // namespace cwm

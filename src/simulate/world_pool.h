@@ -30,6 +30,12 @@
 // instead of building its own. The store is budget-capped as a whole and
 // evicts unreferenced pools LRU-first; like the pools themselves it only
 // ever changes wall time, never results.
+//
+// WorldSnapshot, WorldPool and PackedWorldSet (simulate/packed_world.h)
+// have one constructor each, whose optional `prior` makes the build a
+// patch after a graph delta. Only the store builds pools and packed sets,
+// through one build-once body; estimators always resolve worlds through
+// a store.
 #ifndef CWM_SIMULATE_WORLD_POOL_H_
 #define CWM_SIMULATE_WORLD_POOL_H_
 
@@ -70,22 +76,17 @@ class WorldSnapshot {
 
   /// Materializes world (`edge_seed`, `noise_rng`) of `graph` + `config`.
   /// Without `scratch` the build computes its own thresholds and buffer.
+  /// With a `prior` — the same world of the graph this one was derived
+  /// from by a delta (delta/overlay.h), whose forward edges below
+  /// `first_dirty_edge` are position-, endpoint- and probability-identical
+  /// — the clean node prefix's live targets are copied (coins are keyed by
+  /// positional EdgeId, so they cannot differ), only edges at or above the
+  /// watermark re-flip, and the graph-independent noise table is copied
+  /// (`noise_rng` goes unused). Bit-identical either way.
   WorldSnapshot(const Graph& graph, const UtilityConfig& config,
-                uint64_t edge_seed, Rng noise_rng,
-                Scratch* scratch = nullptr);
-
-  /// Incremental rematerialization after a delta: `prior` is the same
-  /// world of the graph this one was derived from (delta/overlay.h), and
-  /// every forward edge below `first_dirty_edge` is position-, endpoint-
-  /// and probability-identical between the two graphs. The clean node
-  /// prefix's live targets are copied from `prior` (the coins are keyed
-  /// by positional EdgeId, so they cannot differ) and only edges at or
-  /// above the watermark re-flip; the noise table — graph-independent by
-  /// construction — is copied verbatim. Bit-identical to the cold
-  /// constructor on `graph` with the same seeds.
-  WorldSnapshot(const Graph& graph, const WorldSnapshot& prior,
-                uint64_t edge_seed, EdgeId first_dirty_edge,
-                Scratch* scratch = nullptr);
+                uint64_t edge_seed, Rng noise_rng, Scratch* scratch = nullptr,
+                const WorldSnapshot* prior = nullptr,
+                EdgeId first_dirty_edge = 0);
 
   /// Live out-neighbours of `u`, in canonical (EdgeId) order — the same
   /// order the lazy EdgeWorld path visits survivors in.
@@ -143,21 +144,15 @@ class WorldPool {
   /// depends on the thread count. A caller that already computed the
   /// graph's EstimateSnapshotBytes passes it as `per_world_bytes` to skip
   /// the edge scan (0 recomputes; the estimate is deterministic either
-  /// way).
+  /// way). With a `prior` (a pool of the pre-delta graph with the same
+  /// identity), worlds it materialized are patched below
+  /// `first_dirty_edge` (see WorldSnapshot) and the rest build cold; the
+  /// cutoff is still computed on `graph`, so the pool is bit-identical.
+  /// Traced as `simulate.materialize_pool`, or `simulate.patch_pool`.
   WorldPool(const Graph& graph, const UtilityConfig& config, uint64_t seed,
             int num_worlds, std::size_t budget_bytes, unsigned num_threads,
-            std::size_t per_world_bytes = 0);
-
-  /// Incremental rebuild after a delta: worlds materialized by `prior`
-  /// (a pool of the pre-delta graph with the same identity) are patched
-  /// via the prefix-copy snapshot constructor; worlds `prior` never
-  /// materialized build cold. The prefix cutoff is recomputed on `graph`
-  /// exactly as the cold constructor would, so the patched pool is
-  /// bit-identical to a cold build — patching only changes wall time.
-  WorldPool(const Graph& graph, const UtilityConfig& config, uint64_t seed,
-            int num_worlds, std::size_t budget_bytes, unsigned num_threads,
-            std::size_t per_world_bytes, const WorldPool& prior,
-            EdgeId first_dirty_edge);
+            std::size_t per_world_bytes = 0, const WorldPool* prior = nullptr,
+            EdgeId first_dirty_edge = 0);
 
   /// Snapshot of world `w`, or nullptr when `w` fell outside the budget
   /// (the caller streams that world lazily instead).
@@ -215,9 +210,10 @@ class WorldPoolStore {
   /// (graph, config, seed, num_worlds) laid out for a `chunks`-way
   /// evaluation — the extra key field, because lane packing bakes the
   /// chunk stride in. Unlike snapshot pools, a packed set is
-  /// all-or-nothing: returns nullptr when it cannot fit the store budget
-  /// even after LRU eviction, and the caller falls back to the scalar
-  /// path. Packed entries share the store's budget, eviction policy, and
+  /// all-or-nothing: returns nullptr, having evicted nothing, when it
+  /// could not fit the store budget even after evicting every
+  /// unreferenced entry, and the caller falls back to the scalar path.
+  /// Packed entries share the store's budget, eviction policy, and
   /// built/reuse/evict counters with snapshot pools.
   std::shared_ptr<const PackedWorldSet> GetOrBuildPacked(
       const Graph& graph, const UtilityConfig& config, uint64_t seed,
@@ -252,11 +248,10 @@ class WorldPoolStore {
     }
   };
   struct Entry {
-    // Exactly one of the two is set, per Key::chunks. Written once, by
-    // the building thread under the exclusive lock; `ready` (release)
-    // publishes them to shared-lock readers (acquire).
-    std::shared_ptr<const WorldPool> pool;
-    std::shared_ptr<const PackedWorldSet> packed;
+    /// The WorldPool (Key::chunks == 0) or PackedWorldSet. Written once,
+    /// by the building thread under the exclusive lock; `ready` (release)
+    /// publishes it to shared-lock readers (acquire).
+    std::shared_ptr<const void> artifact;
     /// Budget reservation while building; actual footprint once ready.
     std::size_t bytes = 0;
     /// LRU stamp; atomic because shared-lock hits refresh it.
@@ -264,10 +259,24 @@ class WorldPoolStore {
     std::atomic<bool> ready{false};
     /// Valid while !ready: same-key callers wait on it outside the lock.
     std::shared_future<void> build;
-    long use_count() const {
-      return pool != nullptr ? pool.use_count() : packed.use_count();
-    }
   };
+
+  /// What a miss reserves: `bytes` of the budget, either all-or-nothing
+  /// (refused unless they fit whole) or shrunk to what remains.
+  struct Plan {
+    std::size_t bytes;
+    bool all_or_nothing;
+  };
+
+  /// The one build-once body behind GetOrBuild and GetOrBuildPacked.
+  /// `plan()` runs under the exclusive lock; `build(prior, watermark,
+  /// remaining)` runs outside it — `prior` is the patch source or nullptr,
+  /// `remaining` the budget left after eviction — and returns
+  /// {artifact, footprint bytes}. nullptr only for a refused
+  /// all-or-nothing plan.
+  template <typename T, typename PlanFn, typename BuildFn>
+  std::shared_ptr<const T> GetOrBuildEntry(const Key& key, PlanFn plan,
+                                           BuildFn build);
 
   /// Evicts unreferenced ready entries LRU-first until `desired` more
   /// bytes fit (or nothing evictable remains); returns resident bytes

@@ -518,6 +518,24 @@ void ExpectSnapshotsEqual(const WorldSnapshot& got, const WorldSnapshot& want,
   }
 }
 
+void ExpectPackedSetsEqual(const PackedWorldSet& got,
+                           const PackedWorldSet& want) {
+  ASSERT_EQ(got.chunks(), want.chunks());
+  ASSERT_EQ(got.num_worlds(), want.num_worlds());
+  for (std::size_t c = 0; c < want.chunks(); ++c) {
+    const auto a = want.ChunkBlocks(c), b = got.ChunkBlocks(c);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t blk = 0; blk < a.size(); ++blk) {
+      EXPECT_EQ(a[blk].lane_count, b[blk].lane_count);
+      EXPECT_EQ(a[blk].lane_mask, b[blk].lane_mask);
+      EXPECT_EQ(a[blk].edge_mask, b[blk].edge_mask);
+      EXPECT_EQ(a[blk].utility, b[blk].utility);
+      EXPECT_EQ(a[blk].adopt_plane, b[blk].adopt_plane);
+      EXPECT_EQ(a[blk].adopt_changed, b[blk].adopt_changed);
+    }
+  }
+}
+
 // Patched snapshots of `base` after a churn delta equal cold builds of the
 // new graph, standalone and through the pools (whose workers share one
 // coin threshold table).
@@ -535,13 +553,14 @@ void ExpectPatchedSnapshotsEqualCold(const Graph& base, uint64_t churn_seed) {
   const WorldPool prior_pool(base, config, seed, worlds, 64ull << 20, 3);
   const WorldPool cold_pool(next, config, seed, worlds, 64ull << 20, 3);
   const WorldPool patched_pool(next, config, seed, worlds, 64ull << 20, 3,
-                               {}, prior_pool, watermark);
+                               0, &prior_pool, watermark);
   for (int w = 0; w < worlds; ++w) {
     const WorldSnapshot prior(base, config, WorldEdgeSeedOf(seed, w),
                               WorldNoiseRngOf(seed, w));
     const WorldSnapshot cold(next, config, WorldEdgeSeedOf(seed, w),
                              WorldNoiseRngOf(seed, w));
-    const WorldSnapshot patched(next, prior, WorldEdgeSeedOf(seed, w),
+    const WorldSnapshot patched(next, config, WorldEdgeSeedOf(seed, w),
+                                WorldNoiseRngOf(seed, w), nullptr, &prior,
                                 watermark);
     const std::string where = "world " + std::to_string(w);
     ExpectSnapshotsEqual(patched, cold, next, config.num_items(), where);
@@ -565,22 +584,9 @@ void ExpectPatchedPackedEqualsCold(const Graph& base, uint64_t churn_seed) {
 
   const PackedWorldSet prior(base, config, seed, num_worlds, chunks, 4);
   const PackedWorldSet cold(next, config, seed, num_worlds, chunks, 4);
-  const PackedWorldSet patched(next, prior, seed,
-                               applied.value().first_dirty_edge, 4);
-  ASSERT_EQ(patched.chunks(), cold.chunks());
-  ASSERT_EQ(patched.num_worlds(), cold.num_worlds());
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const auto a = cold.ChunkBlocks(c), b = patched.ChunkBlocks(c);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t blk = 0; blk < a.size(); ++blk) {
-      EXPECT_EQ(a[blk].lane_count, b[blk].lane_count);
-      EXPECT_EQ(a[blk].lane_mask, b[blk].lane_mask);
-      EXPECT_EQ(a[blk].edge_mask, b[blk].edge_mask);
-      EXPECT_EQ(a[blk].utility, b[blk].utility);
-      EXPECT_EQ(a[blk].adopt_plane, b[blk].adopt_plane);
-      EXPECT_EQ(a[blk].adopt_changed, b[blk].adopt_changed);
-    }
-  }
+  const PackedWorldSet patched(next, config, seed, num_worlds, chunks, 4,
+                               &prior, applied.value().first_dirty_edge);
+  ExpectPackedSetsEqual(patched, cold);
 }
 
 TEST(DeltaWorldTest, PatchedSnapshotBitIdenticalToColdBuild) {
@@ -595,6 +601,58 @@ TEST(DeltaWorldTest, PatchedPackedSetBitIdenticalToColdBuild) {
 TEST(DeltaWorldTest, CoinEdgeGraphPatchedWorldsBitIdenticalToColdBuilds) {
   ExpectPatchedSnapshotsEqualCold(CoinEdgeGraph(), 17);
   ExpectPatchedPackedEqualsCold(CoinEdgeGraph(), 19);
+}
+
+// Two deltas A -> B -> C with the pool and the packed set resident on A
+// only: a miss on C walks the hint chain back to A and patches from it
+// below the lower of the two watermarks, bit-identically to cold builds
+// on C.
+TEST(DeltaWorldTest, StorePatchesAcrossATwoHopDeltaChain) {
+  const Graph a = TestGraph();
+  const StatusOr<AppliedDelta> ab =
+      ApplyDeltaToGraph(a, GenerateChurnDelta(a, 23, 20));
+  ASSERT_TRUE(ab.ok());
+  const Graph& b = ab.value().graph;
+  const StatusOr<AppliedDelta> bc =
+      ApplyDeltaToGraph(b, GenerateChurnDelta(b, 29, 20));
+  ASSERT_TRUE(bc.ok());
+  const Graph& c = bc.value().graph;
+  ASSERT_NE(ab.value().first_dirty_edge, bc.value().first_dirty_edge);
+
+  const UtilityConfig config = MakeConfigC1();
+  const uint64_t seed = 0xC4A1;
+  const int pool_worlds = 6;
+  const int packed_worlds = 130;
+  const std::size_t chunks = 2;
+  WorldPoolStore store(64ull << 20);
+  ASSERT_NE(store.GetOrBuild(a, config, seed, pool_worlds, 3), nullptr);
+  ASSERT_NE(
+      store.GetOrBuildPacked(a, config, seed, packed_worlds, chunks, 4),
+      nullptr);
+  store.NotifyDelta(a, b, ab.value().first_dirty_edge);
+  store.NotifyDelta(b, c, bc.value().first_dirty_edge);
+
+  const Counter& patches =
+      MetricsRegistry::Global().GetCounter("pool.patches");
+  uint64_t patches_before = patches.value();
+  const std::shared_ptr<const WorldPool> pool =
+      store.GetOrBuild(c, config, seed, pool_worlds, 3);
+  EXPECT_EQ(patches.value() - patches_before, 1u);
+  patches_before = patches.value();
+  const std::shared_ptr<const PackedWorldSet> packed =
+      store.GetOrBuildPacked(c, config, seed, packed_worlds, chunks, 4);
+  EXPECT_EQ(patches.value() - patches_before, 1u);
+
+  for (int w = 0; w < pool_worlds; ++w) {
+    const WorldSnapshot cold(c, config, WorldEdgeSeedOf(seed, w),
+                             WorldNoiseRngOf(seed, w));
+    ASSERT_NE(pool->Get(w), nullptr);
+    ExpectSnapshotsEqual(*pool->Get(w), cold, c, config.num_items(),
+                         "world " + std::to_string(w));
+  }
+  ASSERT_NE(packed, nullptr);
+  ExpectPackedSetsEqual(
+      *packed, PackedWorldSet(c, config, seed, packed_worlds, chunks, 4));
 }
 
 TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {

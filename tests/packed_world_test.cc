@@ -6,6 +6,9 @@
 // lane blocks (worlds 1/63/64/65/1000), for empty allocations, under the
 // zero-budget fallback, with the wide (AVX2-dispatched) arm on or off,
 // and on a graph with every edge-coin edge case (tests/coin_edge_graph.h).
+// The WorldPoolStore cases pin its protocol: one build per key under
+// concurrency, LRU eviction of released entries only, and a packed set
+// that cannot fit refused without evicting anything.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -413,6 +416,150 @@ TEST(PackedWorldTest, PoolStoreSharesPackedSetsAcrossEstimators) {
   EXPECT_EQ(builds.value() - builds_before, 1u);
   EXPECT_GE(reuses.value() - reuses_before, 1u);
   for (std::size_t j = 0; j < a.size(); ++j) ExpectStatsBitEqual(a[j], b[j]);
+}
+
+TEST(PackedWorldTest, PoolStoreConcurrentSamePackedKeyBuildsOnce) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  WorldPoolStore store(64ull << 20);
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const uint64_t builds_before = builds.value();
+  const uint64_t reuses_before = reuses.value();
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const PackedWorldSet>> sets(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      sets[t] = store.GetOrBuildPacked(g, c, /*seed=*/78, /*num_worlds=*/130,
+                                       /*chunks=*/2, /*num_threads=*/1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(sets[t], nullptr);
+    EXPECT_EQ(sets[t], sets[0]);
+  }
+  EXPECT_EQ(builds.value() - builds_before, 1u);
+  EXPECT_EQ(reuses.value() - reuses_before, kThreads - 1u);
+}
+
+// ---- WorldPoolStore eviction -------------------------------------------
+
+constexpr int kLruWorlds = 10;
+
+// A store holding about two and a half 10-world pools of TestGraph(), so
+// a third pool needs exactly one eviction to fit whole.
+std::size_t TwoAndAHalfPools(const Graph& g) {
+  return EstimateSnapshotBytes(g) * kLruWorlds * 5 / 2;
+}
+
+struct PoolCounters {
+  const Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
+  const Counter& reuses = MetricsRegistry::Global().GetCounter("pool.reuses");
+  const Counter& evictions =
+      MetricsRegistry::Global().GetCounter("pool.evictions");
+};
+
+TEST(PackedWorldTest, PoolStoreEvictsReleasedPoolsLeastRecentlyUsedFirst) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  WorldPoolStore store(TwoAndAHalfPools(g));
+  const PoolCounters counters;
+  ASSERT_NE(store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1), nullptr);
+  ASSERT_NE(store.GetOrBuild(g, c, /*seed=*/2, kLruWorlds, 1), nullptr);
+  // Touching pool 1 makes pool 2 the least recently used.
+  ASSERT_NE(store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1), nullptr);
+  const uint64_t evictions_before = counters.evictions.value();
+  const std::shared_ptr<const WorldPool> third =
+      store.GetOrBuild(g, c, /*seed=*/3, kLruWorlds, 1);
+  EXPECT_EQ(counters.evictions.value() - evictions_before, 1u);
+  EXPECT_EQ(third->stats().snapshotted, kLruWorlds);
+
+  const uint64_t builds_before = counters.builds.value();
+  store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1);  // still resident
+  EXPECT_EQ(counters.builds.value(), builds_before);
+  store.GetOrBuild(g, c, /*seed=*/2, kLruWorlds, 1);  // was evicted
+  EXPECT_EQ(counters.builds.value() - builds_before, 1u);
+}
+
+TEST(PackedWorldTest, PoolStoreNeverEvictsHeldPools) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  WorldPoolStore store(TwoAndAHalfPools(g));
+  const PoolCounters counters;
+  // Pool 1 is the least recently used, but an estimator still holds it.
+  const std::shared_ptr<const WorldPool> held =
+      store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1);
+  ASSERT_NE(store.GetOrBuild(g, c, /*seed=*/2, kLruWorlds, 1), nullptr);
+  const uint64_t evictions_before = counters.evictions.value();
+  ASSERT_NE(store.GetOrBuild(g, c, /*seed=*/3, kLruWorlds, 1), nullptr);
+  EXPECT_EQ(counters.evictions.value() - evictions_before, 1u);
+
+  const uint64_t builds_before = counters.builds.value();
+  const uint64_t reuses_before = counters.reuses.value();
+  EXPECT_EQ(store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1), held);
+  EXPECT_EQ(counters.builds.value(), builds_before);
+  EXPECT_EQ(counters.reuses.value() - reuses_before, 1u);
+  store.GetOrBuild(g, c, /*seed=*/2, kLruWorlds, 1);  // was evicted
+  EXPECT_EQ(counters.builds.value() - builds_before, 1u);
+}
+
+TEST(PackedWorldTest, PoolStoreFullOfHeldPoolsBuildsAShorterPrefix) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  WorldPoolStore store(TwoAndAHalfPools(g));
+  const PoolCounters counters;
+  const std::shared_ptr<const WorldPool> first =
+      store.GetOrBuild(g, c, /*seed=*/1, kLruWorlds, 1);
+  const std::shared_ptr<const WorldPool> second =
+      store.GetOrBuild(g, c, /*seed=*/2, kLruWorlds, 1);
+  const uint64_t evictions_before = counters.evictions.value();
+  const std::shared_ptr<const WorldPool> third =
+      store.GetOrBuild(g, c, /*seed=*/3, kLruWorlds, 1);
+  // Nothing is evictable: the new pool materializes what the remaining
+  // budget holds and streams the rest.
+  EXPECT_EQ(counters.evictions.value(), evictions_before);
+  EXPECT_GT(third->stats().snapshotted, 0);
+  EXPECT_LT(third->stats().snapshotted, kLruWorlds);
+  EXPECT_EQ(third->stats().num_worlds, kLruWorlds);
+}
+
+// A packed set that cannot fit, because held entries fill the store,
+// is refused without evicting the released entries it could never have
+// used.
+TEST(PackedWorldTest, RefusedPackedSetEvictsNothing) {
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  const std::size_t pinned_bytes =
+      WorldPool(g, c, /*seed=*/1, 40, 1ull << 30, 1).stats().bytes;
+  const std::size_t released_bytes =
+      WorldPool(g, c, /*seed=*/2, 2, 1ull << 30, 1).stats().bytes;
+  const std::size_t budget = pinned_bytes + released_bytes + 64;
+  const std::size_t packed_bytes =
+      PackedWorldSet::EstimateBytes(g, c.num_items(), 64, /*chunks=*/1);
+  // The set fits the budget alone, and fits beside the released pool's
+  // space, but never beside the held pool.
+  ASSERT_LE(packed_bytes, budget);
+  ASSERT_GT(pinned_bytes + packed_bytes, budget);
+
+  WorldPoolStore store(budget);
+  const PoolCounters counters;
+  const std::shared_ptr<const WorldPool> pinned =
+      store.GetOrBuild(g, c, /*seed=*/1, 40, 1);
+  ASSERT_EQ(pinned->stats().snapshotted, 40);
+  ASSERT_EQ(store.GetOrBuild(g, c, /*seed=*/2, 2, 1)->stats().snapshotted, 2);
+
+  const uint64_t evictions_before = counters.evictions.value();
+  EXPECT_EQ(store.GetOrBuildPacked(g, c, /*seed=*/3, 64, /*chunks=*/1, 1),
+            nullptr);
+  EXPECT_EQ(counters.evictions.value(), evictions_before);
+  // The released pool is still resident.
+  const uint64_t builds_before = counters.builds.value();
+  const uint64_t reuses_before = counters.reuses.value();
+  store.GetOrBuild(g, c, /*seed=*/2, 2, 1);
+  EXPECT_EQ(counters.builds.value(), builds_before);
+  EXPECT_EQ(counters.reuses.value() - reuses_before, 1u);
 }
 
 }  // namespace
