@@ -477,6 +477,12 @@ RrCollection DeltaBenchSampleEra(const Graph& g) {
   return rr;
 }
 
+/// The one standard era primed on a base graph.
+RrProvenance DeltaBenchEra(bool weighted) {
+  return RrProvenance{DeltaBenchBaseHash(weighted), kDeltaBenchRrSeed,
+                      kStandardRrSourceId, /*era_start=*/0};
+}
+
 /// A shared cache primed with both base graphs' standard eras: the
 /// state a live deployment holds when a delta arrives. PatchCachedRrEras
 /// keys on the base graph hash, so the two fixtures never cross.
@@ -487,9 +493,7 @@ ArtifactCache* DeltaBenchCache() {
     if (!opened.ok()) return static_cast<ArtifactCache*>(nullptr);
     ArtifactCache* c = opened.value().release();
     for (const bool weighted : {false, true}) {
-      const RrProvenance provenance{DeltaBenchBaseHash(weighted),
-                                    kDeltaBenchRrSeed, kStandardRrSourceId,
-                                    /*era_start=*/0};
+      const RrProvenance provenance = DeltaBenchEra(weighted);
       const RrCollection rr = DeltaBenchSampleEra(DeltaBenchBase(weighted));
       const uint64_t recipe =
           RrRecipeHash(provenance.graph_hash, provenance.source_id,
@@ -512,6 +516,10 @@ void DeltaIncrementalArm(benchmark::State& state, bool weighted) {
     return;
   }
   const DeltaLog log = GenerateChurnDelta(base, /*seed=*/99, num_edits);
+  // Named explicitly, not taken from the cache's working set: a take
+  // empties the base hash's list, so from the second iteration on the
+  // arm would patch nothing and the gate would time an empty call.
+  const RrProvenance era = DeltaBenchEra(weighted);
   uint64_t resampled = 0;
   uint64_t reused = 0;
   for (auto _ : state) {
@@ -523,7 +531,7 @@ void DeltaIncrementalArm(benchmark::State& state, bool weighted) {
     }
     const RrPatchStats rr = PatchCachedRrEras(
         *cache, applied.value().graph, DeltaBenchBaseHash(weighted),
-        applied.value().result_hash, applied.value().dirty_nodes);
+        applied.value().result_hash, applied.value().dirty_nodes, {&era, 1});
     resampled += rr.sets_resampled;
     reused += rr.sets_reused;
     benchmark::DoNotOptimize(applied.value().graph.num_edges());

@@ -70,9 +70,12 @@ Status Engine::ApplyDelta(const DeltaLog& log, ApplyDeltaResult* result) {
   outcome.new_hash = a.result_hash;
   outcome.dirty_nodes = a.dirty_nodes.size();
   outcome.first_dirty_edge = a.first_dirty_edge;
-  if (options_.cache != nullptr) {
-    outcome.rr = PatchCachedRrEras(*options_.cache, a.graph, a.base_hash,
-                                   a.result_hash, a.dirty_nodes);
+  // Taken only when the hash moves: a no-op delta keeps the working set
+  // for the next one.
+  if (options_.cache != nullptr && a.base_hash != a.result_hash) {
+    outcome.rr = PatchCachedRrEras(
+        *options_.cache, a.graph, a.base_hash, a.result_hash, a.dirty_nodes,
+        options_.cache->TakeRrWorkingSet(a.base_hash));
   }
 
   auto next = std::make_shared<GraphState>();

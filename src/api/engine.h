@@ -122,13 +122,19 @@ class Engine {
   /// Applies one delta log to the engine's current graph and atomically
   /// swaps the composition in: in-flight Allocate calls finish on the
   /// graph they pinned at entry; calls entering after the swap see the
-  /// new graph. Cached standard RR eras (Imm's, and PRIMA+'s when the
-  /// request had no fixed allocation) are re-keyed onto the new graph in
-  /// parallel, one era per worker (dirty sets resampled, the rest
-  /// reused), so post-delta allocations hit the cache; eras of a
-  /// non-empty fixed allocation are left to a cold resample. The
-  /// snapshot-pool store is told to patch rather than rebuild pools
-  /// above the dirty-edge watermark.
+  /// new graph. When the hash changes, the engine takes the cache's
+  /// working set of the old graph (the RR eras this process loaded or
+  /// stored under the old hash since that hash was last patched;
+  /// ArtifactCache::TakeRrWorkingSet) and re-keys its standard eras
+  /// (Imm's, and PRIMA+'s when the request had no fixed allocation) onto
+  /// the new graph in parallel, one era per worker (dirty sets
+  /// resampled, the rest reused), so post-delta allocations hit the
+  /// cache. Every other era stays on its old key and a later read
+  /// resamples it cold: a non-empty fixed allocation's, one this process
+  /// never touched on the old graph, and one an allocation still pinned
+  /// to the old graph loads after the take. The snapshot-pool store is
+  /// told to patch rather than rebuild pools above the dirty-edge
+  /// watermark.
   /// Concurrent ApplyDelta calls serialize in arrival order. On failure
   /// the engine is unchanged. `result` may be null.
   Status ApplyDelta(const DeltaLog& log, ApplyDeltaResult* result = nullptr);

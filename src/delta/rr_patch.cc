@@ -16,21 +16,18 @@ namespace cwm {
 
 namespace {
 
-/// One old-graph standard era selected for patching.
-struct EraToPatch {
-  std::string path;
-  RrProvenance expect;
-};
-
-/// Patches one era: opens it, reuses its clean sets, resamples the dirty
-/// ones on `new_graph` and stores the result under `new_hash`. Returns
-/// this era's share of the stats (eras_scanned is the caller's).
-RrPatchStats PatchEra(ArtifactCache& cache, const EraToPatch& era,
+/// Patches one old-graph standard era: opens it, reuses its clean sets,
+/// resamples the dirty ones on `new_graph` and stores the result under
+/// `new_hash`. Returns this era's share of the stats (eras_scanned is the
+/// caller's).
+RrPatchStats PatchEra(ArtifactCache& cache, const RrProvenance& era,
                       uint64_t new_hash, const std::vector<char>& dirty,
                       const Graph& new_graph) {
   RrPatchStats stats;
   const std::size_t n = new_graph.num_nodes();
-  StatusOr<RrEraData> opened = OpenRrFile(era.path, &era.expect, n);
+  const std::string path = cache.RrPathFor(RrRecipeHash(
+      era.graph_hash, era.source_id, era.sample_seed, era.era_start));
+  StatusOr<RrEraData> opened = OpenRrFile(path, &era, n);
   if (!opened.ok()) return stats;  // the pipeline will resample it cold
   const RrEraData& data = opened.value();
 
@@ -55,14 +52,13 @@ RrPatchStats PatchEra(ArtifactCache& cache, const EraToPatch& era,
       ++stats.sets_reused;
       continue;
     }
-    Rng rng(MixHash(era.expect.sample_seed,
-                    kRrSampleTag ^ (era.expect.era_start + k)));
+    Rng rng(MixHash(era.sample_seed, kRrSampleTag ^ (era.era_start + k)));
     sampler.SampleStandard(rng, &scratch);
     patched.Add(scratch, 1.0);
     ++stats.sets_resampled;
   }
 
-  RrProvenance fresh = era.expect;
+  RrProvenance fresh = era;
   fresh.graph_hash = new_hash;
   const uint64_t recipe = RrRecipeHash(new_hash, fresh.source_id,
                                        fresh.sample_seed, fresh.era_start);
@@ -75,7 +71,8 @@ RrPatchStats PatchEra(ArtifactCache& cache, const EraToPatch& era,
 
 RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
                                uint64_t old_hash, uint64_t new_hash,
-                               std::span<const NodeId> dirty_nodes) {
+                               std::span<const NodeId> dirty_nodes,
+                               std::span<const RrProvenance> eras) {
   static Counter& eras_patched =
       MetricsRegistry::Global().GetCounter("delta.eras_patched");
   static Counter& sets_reused =
@@ -85,30 +82,16 @@ RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
 
   RrPatchStats stats;
   if (old_hash == new_hash) return stats;
-  const std::size_t n = new_graph.num_nodes();
-
-  // One pass over the listing reads headers only and selects the old
-  // graph's standard eras.
-  std::vector<EraToPatch> eras;
-  for (const CacheEntry& entry : cache.List()) {
-    if (entry.is_graph) continue;
-    StatusOr<RrFileHeader> header = ReadRrHeader(entry.path);
-    if (!header.ok()) continue;  // pipeline will quarantine + resample
-    if (header.value().graph_hash != old_hash ||
-        header.value().source_id != kStandardRrSourceId ||
-        header.value().num_nodes != n) {
-      continue;
+  std::vector<RrProvenance> standard;
+  for (const RrProvenance& era : eras) {
+    if (era.graph_hash == old_hash && era.source_id == kStandardRrSourceId) {
+      standard.push_back(era);
     }
-    RrProvenance expect;
-    expect.graph_hash = old_hash;
-    expect.sample_seed = header.value().sample_seed;
-    expect.source_id = header.value().source_id;
-    expect.era_start = header.value().era_start;
-    eras.push_back({entry.path, expect});
   }
-  stats.eras_scanned = eras.size();
-  if (eras.empty()) return stats;
+  stats.eras_scanned = standard.size();
+  if (standard.empty()) return stats;
 
+  const std::size_t n = new_graph.num_nodes();
   std::vector<char> dirty(n, 0);
   for (NodeId v : dirty_nodes) {
     if (v < n) dirty[v] = 1;
@@ -117,9 +100,9 @@ RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
   // One era per task. Eras are independent files and every set's stream
   // is pinned by (seed, index), so the patched bytes do not depend on
   // which worker runs which era.
-  std::vector<RrPatchStats> per_era(eras.size());
-  ParallelFor(eras.size(), [&](std::size_t i) {
-    per_era[i] = PatchEra(cache, eras[i], new_hash, dirty, new_graph);
+  std::vector<RrPatchStats> per_era(standard.size());
+  ParallelFor(standard.size(), [&](std::size_t i) {
+    per_era[i] = PatchEra(cache, standard[i], new_hash, dirty, new_graph);
   });
   for (const RrPatchStats& era : per_era) {
     stats.eras_patched += era.eras_patched;

@@ -17,13 +17,20 @@
 // next pipeline run over the new graph finds a warm era and reports a
 // cache hit; the old-keyed entry becomes a Gc orphan.
 //
-// Which eras are patched: standard eras (kStandardRrSourceId). They are
-// Imm()'s eras and PRIMA+'s eras with an empty S_P (SeqGRD, SeqGRD-NM,
-// MaxGRD and greedyWM's candidate pool without a fixed allocation),
-// because that marginal sampler blocks nothing and draws the standard
-// sets. Eras of a non-empty S_P keep their marginal id and are left to
-// age out: a zeroed set does not record which in-edge lists its BFS
-// read, so it cannot be checked against the dirty vertices.
+// Which eras are patched: the caller names them. Engine::ApplyDelta
+// passes the old graph's working set, the eras this process loaded or
+// stored under the old hash since that hash was last patched
+// (ArtifactCache::TakeRrWorkingSet); nothing lists the cache directory.
+// An era outside the working set (an earlier engine's, another
+// process's) stays on its old key, and a later read resamples it like
+// any miss. Of the eras given, only standard eras (kStandardRrSourceId)
+// of the old graph are patched. They are Imm()'s eras and PRIMA+'s eras
+// with an empty S_P (SeqGRD, SeqGRD-NM, MaxGRD and greedyWM's candidate
+// pool without a fixed allocation), because that marginal sampler
+// blocks nothing and draws the standard sets. Eras of a non-empty S_P
+// keep their marginal id and are skipped: a zeroed set does not record
+// which in-edge lists its BFS read, so it cannot be checked against the
+// dirty vertices.
 //
 // Eras are patched in parallel, one era per task (DefaultThreads()
 // workers, capped by the era count), each task with its own sampler. An
@@ -46,22 +53,24 @@ namespace cwm {
 
 /// Outcome of one PatchCachedRrEras pass.
 struct RrPatchStats {
-  std::size_t eras_scanned = 0;    ///< old-graph standard eras found
+  std::size_t eras_scanned = 0;    ///< old-graph standard eras given
   std::size_t eras_patched = 0;    ///< re-keyed to the new graph
   std::size_t sets_reused = 0;     ///< served verbatim from the old era
   std::size_t sets_resampled = 0;  ///< touched a dirty vertex; resampled
 };
 
-/// Re-keys every cached standard RR era of the graph `old_hash` onto
-/// `new_graph` (content hash `new_hash`), reusing sets clean of
-/// `dirty_nodes` (sorted, unique) and resampling the rest from their
-/// pinned per-sample streams. Eras are patched concurrently; the stats
-/// are the per-era sums. No-op when old_hash == new_hash. Best effort:
-/// an era that fails to open is skipped (the pipeline will resample it
-/// cold), and store failures follow the cache's degraded-mode contract.
+/// Re-keys the cached RR eras named by `eras` onto `new_graph` (content
+/// hash `new_hash`), reusing sets clean of `dirty_nodes` (sorted,
+/// unique) and resampling the rest from their pinned per-sample streams.
+/// Eras of another graph hash than `old_hash`, or with a marginal source
+/// id, are skipped. Eras are patched concurrently; the stats are the
+/// per-era sums. No-op when old_hash == new_hash. Best effort: an era
+/// that fails to open is skipped (the pipeline will resample it cold),
+/// and store failures follow the cache's degraded-mode contract.
 RrPatchStats PatchCachedRrEras(ArtifactCache& cache, const Graph& new_graph,
                                uint64_t old_hash, uint64_t new_hash,
-                               std::span<const NodeId> dirty_nodes);
+                               std::span<const NodeId> dirty_nodes,
+                               std::span<const RrProvenance> eras);
 
 }  // namespace cwm
 

@@ -212,6 +212,7 @@ std::optional<RrEraData> ArtifactCache::LoadRrEra(uint64_t recipe_hash,
     }();
     if (opened.ok()) {
       RrHitsCounter().Add(1);
+      NoteRrEra(recipe_hash, expect);
       return std::move(opened).value();
     }
     // NotFound = provenance mismatch (hash collision or stale key): a
@@ -244,6 +245,7 @@ Status ArtifactCache::StoreRrEra(uint64_t recipe_hash,
       existing.value().sample_seed == provenance.sample_seed &&
       existing.value().source_id == provenance.source_id &&
       existing.value().era_start == provenance.era_start) {
+    NoteRrEra(recipe_hash, provenance);
     return Status::OK();
   }
   if (!writes_enabled()) {
@@ -256,8 +258,25 @@ Status ArtifactCache::StoreRrEra(uint64_t recipe_hash,
     std::error_code ec;
     const uint64_t bytes = fs::file_size(path, ec);
     if (!ec) BytesWrittenCounter().Add(bytes);
+    NoteRrEra(recipe_hash, provenance);
   }
   return status;
+}
+
+void ArtifactCache::NoteRrEra(uint64_t recipe_hash, const RrProvenance& era) {
+  std::lock_guard lock(working_set_mutex_);
+  working_set_[era.graph_hash].try_emplace(recipe_hash, era);
+}
+
+std::vector<RrProvenance> ArtifactCache::TakeRrWorkingSet(
+    uint64_t graph_hash) {
+  std::lock_guard lock(working_set_mutex_);
+  const auto node = working_set_.extract(graph_hash);
+  std::vector<RrProvenance> eras;
+  if (node.empty()) return eras;
+  eras.reserve(node.mapped().size());
+  for (const auto& [recipe_hash, era] : node.mapped()) eras.push_back(era);
+  return eras;
 }
 
 std::vector<CacheEntry> ArtifactCache::List() const {

@@ -40,6 +40,21 @@
 // simply replaces the file with identical content. Hits are validated
 // (recipe string for graphs, header provenance for RR) so a hash
 // collision degrades to a miss, never to wrong data.
+//
+// RR working set: each cache object records, per graph hash, the RR eras
+// it served (LoadRrEra hit) or holds on disk after a store (StoreRrEra
+// success, including the keep-the-longer-entry return), deduplicated by
+// recipe hash. Misses, quarantined loads and failed stores are not
+// recorded. A graph delta takes the old graph's list once
+// (TakeRrWorkingSet) and patches exactly those eras
+// (delta/rr_patch.h); the patch's own stores join the new graph's list,
+// so a delta chain carries its eras forward hop by hop. The record is
+// per object, not per engine or per directory: engines sharing one
+// cache object and graph hash share one list (the first delta takes
+// it), eras other processes or cache objects wrote are not on it, and
+// an era recorded under a hash after its take waits for the next take
+// of that hash. It costs about 50 bytes per era touched, against
+// megabytes of disk per era.
 #ifndef CWM_STORE_ARTIFACT_CACHE_H_
 #define CWM_STORE_ARTIFACT_CACHE_H_
 
@@ -47,8 +62,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -74,7 +91,8 @@ struct GcResult {
 };
 
 /// A directory of content-addressed artifacts. Thread-safe: file
-/// operations are per-key and atomic.
+/// operations are per-key and atomic, and a mutex guards the RR working
+/// set.
 class ArtifactCache {
  public:
   /// Opens (creating directories if needed) a cache rooted at `root`.
@@ -98,15 +116,26 @@ class ArtifactCache {
   std::string GraphPathFor(const std::string& recipe) const;
 
   /// Loads the RR era stored under `recipe_hash` whose header matches
-  /// (`expect`, num_nodes) exactly; nullopt on absence or mismatch.
+  /// (`expect`, num_nodes) exactly; nullopt on absence or mismatch. A hit
+  /// joins the working set of expect.graph_hash.
   std::optional<RrEraData> LoadRrEra(uint64_t recipe_hash,
                                      const RrProvenance& expect,
                                      std::size_t num_nodes);
 
   /// Stores `rr` under `recipe_hash`, replacing any previous entry (eras
-  /// only ever grow, so replacement is monotone).
+  /// only ever grow, so replacement is monotone). On success the era
+  /// joins the working set of provenance.graph_hash.
   Status StoreRrEra(uint64_t recipe_hash, const RrProvenance& provenance,
                     const RrCollection& rr);
+
+  /// Path an RR era with `recipe_hash` is stored at. The delta patcher
+  /// opens eras here directly: its reads are not allocation hits.
+  std::string RrPathFor(uint64_t recipe_hash) const;
+
+  /// Removes and returns the working set of `graph_hash`: the eras this
+  /// object loaded or stored under it since its last take (unordered).
+  /// A second take of the same hash returns nothing new.
+  std::vector<RrProvenance> TakeRrWorkingSet(uint64_t graph_hash);
 
   /// All entries currently in the cache (unordered).
   std::vector<CacheEntry> List() const;
@@ -133,14 +162,20 @@ class ArtifactCache {
  private:
   explicit ArtifactCache(std::string root) : root_(std::move(root)) {}
 
-  std::string RrPathFor(uint64_t recipe_hash) const;
-
   /// First write failure wins: logs once, flips writes_enabled_ off,
   /// counts store.degraded.cache_write_off.
   void DisableWrites(const Status& cause);
 
+  /// Adds the era under `recipe_hash` to its graph's working set.
+  void NoteRrEra(uint64_t recipe_hash, const RrProvenance& era);
+
   std::string root_;
   std::atomic<bool> writes_enabled_{true};
+  std::mutex working_set_mutex_;
+  /// graph hash -> recipe hash -> era, for every era touched since the
+  /// graph hash's last take.
+  std::unordered_map<uint64_t, std::unordered_map<uint64_t, RrProvenance>>
+      working_set_;
 };
 
 /// Folds an RR sampling identity into the single cache key used by the

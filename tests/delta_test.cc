@@ -6,8 +6,9 @@
 // bit-identically, several eras patched concurrently), patched world
 // snapshots / packed sets vs cold rebuilds, and Engine::ApplyDelta —
 // equivalence across every registered allocator at 1 and 8 threads,
-// patched empty-S_P PRIMA+ eras serving the post-delta runs, plus
-// atomicity under concurrent Allocate traffic.
+// patched empty-S_P PRIMA+ eras serving the post-delta runs, the RR
+// working set a delta patches (the engine's own eras only, taken once
+// per hash move), plus atomicity under concurrent Allocate traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -697,7 +699,9 @@ TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {
                         .era_start = era.start};
   };
   std::size_t want_reused = 0, want_resampled = 0;
+  std::vector<RrProvenance> stored;
   for (const Era& era : eras) {
+    stored.push_back(provenance_of(era, base_hash));
     RrCollection rr(base.num_nodes());
     sample_era(base, era, &rr);
     for (std::size_t k = 0; k < rr.size(); ++k) {
@@ -721,6 +725,7 @@ TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {
     sample_era(base, eras[0], &rr);
     RrProvenance provenance = provenance_of(eras[0], base_hash);
     provenance.source_id = marginal_id;
+    stored.push_back(provenance);
     ASSERT_TRUE(cache.value()
                     ->StoreRrEra(RrRecipeHash(base_hash, marginal_id,
                                               eras[0].seed, 0),
@@ -730,7 +735,7 @@ TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {
 
   const RrPatchStats stats =
       PatchCachedRrEras(*cache.value(), next, base_hash, next_hash,
-                        applied.value().dirty_nodes);
+                        applied.value().dirty_nodes, stored);
   EXPECT_EQ(stats.eras_scanned, std::size(eras));
   EXPECT_EQ(stats.eras_patched, std::size(eras));
   // The returned stats are the per-era sums.
@@ -780,11 +785,15 @@ TEST(DeltaRrPatchTest, NoOpWhenHashesMatchOrNoErasCached) {
   StatusOr<std::unique_ptr<ArtifactCache>> cache =
       ArtifactCache::Open(UniqueTempPath("rrcache_empty"));
   ASSERT_TRUE(cache.ok());
+  const RrProvenance era{.graph_hash = 1,
+                         .sample_seed = 3,
+                         .source_id = kStandardRrSourceId,
+                         .era_start = 0};
   const RrPatchStats same =
-      PatchCachedRrEras(*cache.value(), g, 1, 1, {});
+      PatchCachedRrEras(*cache.value(), g, 1, 1, {}, {&era, 1});
   EXPECT_EQ(same.eras_scanned, 0u);
   const RrPatchStats empty =
-      PatchCachedRrEras(*cache.value(), g, 1, 2, {});
+      PatchCachedRrEras(*cache.value(), g, 1, 2, {}, {});
   EXPECT_EQ(empty.eras_scanned, 0u);
   EXPECT_EQ(empty.eras_patched, 0u);
 }
@@ -802,6 +811,28 @@ AllocateRequest TinyRequest(AlgoKind algo, unsigned threads) {
   request.ranking.seed = 31;
   request.eval = {.num_worlds = 40, .seed = 41, .num_threads = threads};
   return request;
+}
+
+/// Each run of `algos` on `engine` reads cached eras, and its results
+/// equal a cold engine's (no cache) on the same graph bit for bit.
+void ExpectServedFromCacheAndEqualCold(const Engine& engine,
+                                       const UtilityConfig& config,
+                                       std::span<const AlgoKind> algos) {
+  const Engine cold(engine.graph(), config);
+  const Counter& rr_hits =
+      MetricsRegistry::Global().GetCounter("cache.rr_hits");
+  for (AlgoKind algo : algos) {
+    const uint64_t hits_before = rr_hits.value();
+    AllocateResult served, fresh;
+    ASSERT_TRUE(engine.Allocate(TinyRequest(algo, 2), &served).ok());
+    EXPECT_GT(rr_hits.value(), hits_before) << AlgoName(algo);
+    ASSERT_TRUE(cold.Allocate(TinyRequest(algo, 2), &fresh).ok());
+    EXPECT_EQ(served.allocation.ToString(), fresh.allocation.ToString())
+        << AlgoName(algo);
+    EXPECT_EQ(std::bit_cast<uint64_t>(served.stats.welfare),
+              std::bit_cast<uint64_t>(fresh.stats.welfare))
+        << AlgoName(algo);
+  }
 }
 
 TEST(EngineDeltaTest, PostDeltaAllocationsMatchColdRebuildForEveryAlgo) {
@@ -889,21 +920,206 @@ TEST(EngineDeltaTest, EmptyPriorSetErasArePatchedAndServeThePostDeltaRuns) {
 
   // Each post-delta run reads patched eras, and its results equal a cold
   // engine's (no cache) on the composed graph bit for bit.
-  Engine cold(engine.graph(), config);
-  const Counter& rr_hits =
-      MetricsRegistry::Global().GetCounter("cache.rr_hits");
-  for (AlgoKind algo : algos) {
-    const uint64_t hits_before = rr_hits.value();
-    AllocateResult served, fresh;
-    ASSERT_TRUE(engine.Allocate(TinyRequest(algo, 2), &served).ok());
-    EXPECT_GT(rr_hits.value(), hits_before) << AlgoName(algo);
-    ASSERT_TRUE(cold.Allocate(TinyRequest(algo, 2), &fresh).ok());
-    EXPECT_EQ(served.allocation.ToString(), fresh.allocation.ToString())
-        << AlgoName(algo);
-    EXPECT_EQ(std::bit_cast<uint64_t>(served.stats.welfare),
-              std::bit_cast<uint64_t>(fresh.stats.welfare))
-        << AlgoName(algo);
+  ExpectServedFromCacheAndEqualCold(engine, config, algos);
+}
+
+// ---- the RR working set a delta patches --------------------------------
+
+/// The allocators engine-churn runs after every delta: all three read
+/// standard eras.
+constexpr AlgoKind kChurnAlgos[] = {AlgoKind::kSeqGrdNm, AlgoKind::kMaxGrd,
+                                    AlgoKind::kTcim};
+
+/// Runs kChurnAlgos on `engine` with RR eras drawn from `rr_seed`.
+void AllocateChurn(const Engine& engine, uint64_t rr_seed) {
+  for (AlgoKind algo : kChurnAlgos) {
+    AllocateRequest request = TinyRequest(algo, 2);
+    request.params.imm.seed = rr_seed;
+    AllocateResult result;
+    ASSERT_TRUE(engine.Allocate(request, &result).ok()) << AlgoName(algo);
   }
+}
+
+/// The standard RR eras of `graph_hash` in the cache directory.
+std::vector<RrProvenance> StandardErasOnDisk(const ArtifactCache& cache,
+                                             uint64_t graph_hash) {
+  std::vector<RrProvenance> eras;
+  for (const CacheEntry& entry : cache.List()) {
+    if (entry.is_graph) continue;
+    const StatusOr<RrFileHeader> header = ReadRrHeader(entry.path);
+    if (!header.ok() || header.value().graph_hash != graph_hash ||
+        header.value().source_id != kStandardRrSourceId) {
+      continue;
+    }
+    eras.push_back({.graph_hash = graph_hash,
+                    .sample_seed = header.value().sample_seed,
+                    .source_id = kStandardRrSourceId,
+                    .era_start = header.value().era_start});
+  }
+  return eras;
+}
+
+// Eras another process (or an earlier engine) left on the base graph are
+// not this engine's working set: the delta patches only the eras its own
+// allocations touched, and writes nothing for the others.
+TEST(EngineDeltaTest, ErasOutsideTheWorkingSetAreNotPatched) {
+  const Graph base = TestGraph();
+  const UtilityConfig config = MakeConfigC1();
+  const uint64_t base_hash = GraphContentHash(base);
+  const std::string dir = UniqueTempPath("shared_rrcache");
+  {
+    StatusOr<std::unique_ptr<ArtifactCache>> other = ArtifactCache::Open(dir);
+    ASSERT_TRUE(other.ok());
+    const Engine earlier(base, config, {.cache = other.value().get()});
+    AllocateChurn(earlier, /*rr_seed=*/101);
+  }
+  StatusOr<std::unique_ptr<ArtifactCache>> cache = ArtifactCache::Open(dir);
+  ASSERT_TRUE(cache.ok());
+  ArtifactCache& store = *cache.value();
+  const std::vector<RrProvenance> foreign = StandardErasOnDisk(store, base_hash);
+  ASSERT_GE(foreign.size(), 2u);
+
+  Engine engine(base, config, {.cache = &store});
+  AllocateChurn(engine, /*rr_seed=*/11);
+  std::vector<RrProvenance> own;
+  for (const RrProvenance& era : StandardErasOnDisk(store, base_hash)) {
+    if (std::find(foreign.begin(), foreign.end(), era) == foreign.end()) {
+      own.push_back(era);
+    }
+  }
+  ASSERT_GE(own.size(), 2u);
+
+  ApplyDeltaResult outcome;
+  ASSERT_TRUE(
+      engine.ApplyDelta(GenerateChurnDelta(base, 37, 12), &outcome).ok());
+  EXPECT_EQ(outcome.rr.eras_scanned, own.size());
+  EXPECT_EQ(outcome.rr.eras_patched, own.size());
+  auto patched_path = [&](const RrProvenance& era) {
+    return store.RrPathFor(RrRecipeHash(outcome.new_hash, era.source_id,
+                                        era.sample_seed, era.era_start));
+  };
+  for (const RrProvenance& era : own) {
+    EXPECT_TRUE(std::filesystem::exists(patched_path(era)))
+        << "own era seed " << era.sample_seed;
+  }
+  for (const RrProvenance& era : foreign) {
+    EXPECT_FALSE(std::filesystem::exists(patched_path(era)))
+        << "foreign era seed " << era.sample_seed;
+  }
+  ExpectServedFromCacheAndEqualCold(engine, config, kChurnAlgos);
+}
+
+// engine-churn's passes: engines in sequence on one cache object, each
+// warming its own seed on the base graph and then walking its own delta
+// chain. The second engine patches its own working set at every hop, as
+// it would on a cache nobody else used; the first engine's base-graph
+// eras do not ride its chain.
+TEST(EngineDeltaTest, EnginesInSequenceEachPatchOnlyTheirOwnWorkingSet) {
+  const Graph base = TestGraph();
+  const UtilityConfig config = MakeConfigC1();
+  constexpr int kHops = 3;
+  // One pass: warm-up allocations, then kHops deltas each followed by
+  // allocations. Returns eras_patched per hop; `on_disk` gets the
+  // standard eras of each hop's old graph in the cache directory.
+  auto run_pass = [&](ArtifactCache& store, uint64_t rr_seed,
+                      uint64_t delta_seed, std::vector<std::size_t>* on_disk) {
+    Engine engine(base, config, {.cache = &store});
+    AllocateChurn(engine, rr_seed);
+    std::vector<std::size_t> patched;
+    for (int hop = 0; hop < kHops; ++hop) {
+      on_disk->push_back(StandardErasOnDisk(store, engine.graph_hash()).size());
+      ApplyDeltaResult outcome;
+      EXPECT_TRUE(engine
+                      .ApplyDelta(GenerateChurnDelta(engine.graph(),
+                                                     delta_seed + hop, 10),
+                                  &outcome)
+                      .ok());
+      patched.push_back(outcome.rr.eras_patched);
+      AllocateChurn(engine, rr_seed);
+    }
+    return patched;
+  };
+
+  // Alone on a fresh cache, every standard era of each hop's old graph is
+  // the engine's own: its working set.
+  StatusOr<std::unique_ptr<ArtifactCache>> solo_cache =
+      ArtifactCache::Open(UniqueTempPath("solo_rrcache"));
+  ASSERT_TRUE(solo_cache.ok());
+  std::vector<std::size_t> solo_on_disk;
+  const std::vector<std::size_t> solo = run_pass(
+      *solo_cache.value(), /*rr_seed=*/202, /*delta_seed=*/500, &solo_on_disk);
+  EXPECT_EQ(solo, solo_on_disk);
+  for (std::size_t hop = 0; hop < solo.size(); ++hop) {
+    EXPECT_GE(solo[hop], 2u) << "hop " << hop;
+  }
+
+  StatusOr<std::unique_ptr<ArtifactCache>> shared_cache =
+      ArtifactCache::Open(UniqueTempPath("passes_rrcache"));
+  ASSERT_TRUE(shared_cache.ok());
+  std::vector<std::size_t> ignored;
+  run_pass(*shared_cache.value(), /*rr_seed=*/101, /*delta_seed=*/400,
+           &ignored);
+  std::vector<std::size_t> after_first;
+  EXPECT_EQ(run_pass(*shared_cache.value(), /*rr_seed=*/202,
+                     /*delta_seed=*/500, &after_first),
+            solo);
+  // The first engine's base-graph eras are still on disk: the second
+  // engine left them alone.
+  EXPECT_GT(after_first[0], solo_on_disk[0]);
+}
+
+// A working set is taken once per hash move: a delta that keeps the hash
+// keeps the list, a second take is empty, and an era recorded under the
+// old hash after the take (an allocation still pinned to the old graph)
+// stays on that hash's list instead of joining the chain.
+TEST(EngineDeltaTest, WorkingSetIsTakenOnceWhenTheHashMoves) {
+  const Graph base = TestGraph();
+  const UtilityConfig config = MakeConfigC1();
+  const uint64_t base_hash = GraphContentHash(base);
+  StatusOr<std::unique_ptr<ArtifactCache>> cache =
+      ArtifactCache::Open(UniqueTempPath("take_rrcache"));
+  ASSERT_TRUE(cache.ok());
+  ArtifactCache& store = *cache.value();
+  Engine engine(base, config, {.cache = &store});
+  AllocateChurn(engine, /*rr_seed=*/11);
+  const std::vector<RrProvenance> own = StandardErasOnDisk(store, base_hash);
+  ASSERT_GE(own.size(), 2u);
+
+  DeltaLog no_op;
+  no_op.num_nodes = base.num_nodes();
+  ApplyDeltaResult kept;
+  ASSERT_TRUE(engine.ApplyDelta(no_op, &kept).ok());
+  EXPECT_EQ(kept.new_hash, base_hash);
+  EXPECT_EQ(kept.rr.eras_scanned, 0u);
+
+  ApplyDeltaResult first;
+  ASSERT_TRUE(engine.ApplyDelta(GenerateChurnDelta(base, 37, 12), &first).ok());
+  EXPECT_EQ(first.rr.eras_scanned, own.size());
+  EXPECT_EQ(first.rr.eras_patched, own.size());
+  EXPECT_TRUE(store.TakeRrWorkingSet(base_hash).empty());
+
+  // A straggler pinned to the base graph reads one of its eras.
+  const RrProvenance& straggler = own.front();
+  ASSERT_TRUE(store
+                  .LoadRrEra(RrRecipeHash(base_hash, straggler.source_id,
+                                          straggler.sample_seed,
+                                          straggler.era_start),
+                             straggler, base.num_nodes())
+                  .has_value());
+
+  // The next hop carries the patched eras forward, and only those.
+  ApplyDeltaResult second;
+  ASSERT_TRUE(engine
+                  .ApplyDelta(GenerateChurnDelta(engine.graph(), 38, 12),
+                              &second)
+                  .ok());
+  EXPECT_EQ(second.rr.eras_scanned, own.size());
+  EXPECT_EQ(second.rr.eras_patched, own.size());
+  const std::vector<RrProvenance> left = store.TakeRrWorkingSet(base_hash);
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left.front(), straggler);
+  EXPECT_TRUE(store.TakeRrWorkingSet(base_hash).empty());
+  ExpectServedFromCacheAndEqualCold(engine, config, kChurnAlgos);
 }
 
 TEST(EngineDeltaTest, PoolsArePatchedAcrossDelta) {
@@ -926,52 +1142,61 @@ TEST(EngineDeltaTest, PoolsArePatchedAcrossDelta) {
   EXPECT_GE(patches.value() - patched_before, 1u);
 }
 
+// Without a cache and with one: cached, the allocations record the RR
+// working set while the deltas take it.
 TEST(EngineDeltaTest, ApplyDeltaIsAtomicUnderConcurrentAllocates) {
   const Graph base = TestGraph();
   const UtilityConfig config = MakeConfigC1();
-  Engine engine(base, config);
+  StatusOr<std::unique_ptr<ArtifactCache>> cache =
+      ArtifactCache::Open(UniqueTempPath("concurrent_rrcache"));
+  ASSERT_TRUE(cache.ok());
+  for (ArtifactCache* store : {static_cast<ArtifactCache*>(nullptr),
+                               cache.value().get()}) {
+    SCOPED_TRACE(store == nullptr ? "uncached" : "cached");
+    Engine engine(base, config, {.cache = store});
 
-  std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&engine, &stop, &failures] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        AllocateResult result;
-        const Status status =
-            engine.Allocate(TinyRequest(AlgoKind::kSeqGrdNm, 2), &result);
-        if (!status.ok() || result.allocation.TotalPairs() != 6u) {
-          failures.fetch_add(1);
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t) {
+      workers.emplace_back([&engine, &stop, &failures] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          AllocateResult result;
+          const Status status =
+              engine.Allocate(TinyRequest(AlgoKind::kSeqGrdNm, 2), &result);
+          if (!status.ok() || result.allocation.TotalPairs() != 6u) {
+            failures.fetch_add(1);
+          }
         }
-      }
-    });
-  }
-  // Three deltas land while allocations are in flight; every allocation
-  // must see a consistent graph (pinned at entry) and succeed.
-  Graph current = TestGraph();
-  for (uint64_t round = 0; round < 3; ++round) {
-    const DeltaLog log = GenerateChurnDelta(current, 31 + round, 8);
-    StatusOr<AppliedDelta> applied = ApplyDeltaToGraph(current, log);
-    ASSERT_TRUE(applied.ok());
-    ASSERT_TRUE(engine.ApplyDelta(log).ok());
-    current = std::move(applied.value().graph);
-  }
-  stop.store(true);
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine.delta_chain().size(), 3u);
-  EXPECT_EQ(engine.graph_hash(), GraphContentHash(current));
+      });
+    }
+    // Three deltas land while allocations are in flight; every allocation
+    // must see a consistent graph (pinned at entry) and succeed.
+    Graph current = TestGraph();
+    for (uint64_t round = 0; round < 3; ++round) {
+      const DeltaLog log = GenerateChurnDelta(current, 31 + round, 8);
+      StatusOr<AppliedDelta> applied = ApplyDeltaToGraph(current, log);
+      ASSERT_TRUE(applied.ok());
+      ASSERT_TRUE(engine.ApplyDelta(log).ok());
+      current = std::move(applied.value().graph);
+    }
+    stop.store(true);
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(engine.delta_chain().size(), 3u);
+    EXPECT_EQ(engine.graph_hash(), GraphContentHash(current));
 
-  // The engine's post-churn allocations equal a cold engine's.
-  Engine cold(current, config);
-  AllocateResult warm_result, cold_result;
-  ASSERT_TRUE(
-      engine.Allocate(TinyRequest(AlgoKind::kSeqGrd, 2), &warm_result).ok());
-  ASSERT_TRUE(
-      cold.Allocate(TinyRequest(AlgoKind::kSeqGrd, 2), &cold_result).ok());
-  EXPECT_EQ(warm_result.allocation.ToString(),
-            cold_result.allocation.ToString());
-  EXPECT_EQ(warm_result.stats.welfare, cold_result.stats.welfare);
+    // The engine's post-churn allocations equal a cold engine's.
+    Engine cold(current, config);
+    AllocateResult warm_result, cold_result;
+    ASSERT_TRUE(
+        engine.Allocate(TinyRequest(AlgoKind::kSeqGrd, 2), &warm_result).ok());
+    ASSERT_TRUE(
+        cold.Allocate(TinyRequest(AlgoKind::kSeqGrd, 2), &cold_result).ok());
+    EXPECT_EQ(warm_result.allocation.ToString(),
+              cold_result.allocation.ToString());
+    EXPECT_EQ(warm_result.stats.welfare, cold_result.stats.welfare);
+  }
 }
 
 }  // namespace
