@@ -28,7 +28,6 @@
 #include "rrset/rr_pipeline.h"
 #include "rrset/rr_sampler.h"
 #include "simulate/estimator.h"
-#include "simulate/packed_world.h"
 #include "simulate/uic_simulator.h"
 #include "store/artifact_cache.h"
 #include "store/graph_store.h"
@@ -179,64 +178,6 @@ BENCHMARK(BM_WelfareBatch)
     ->Arg(1)
     ->Arg(4)
     ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Word-parallel diffusion kernel vs. the scalar snapshot path: score a
-// fixed 16-candidate batch over `worlds` evaluation worlds with one
-// long-lived estimator per arm. The workload is the packed kernel's
-// target regime — a strong-tie graph (uniform p = 0.5) with the
-// noise-heavy C5 utility config — where the 64 lanes of a word mostly
-// agree and word-parallel evaluation pays off; on weak-tie
-// weighted-cascade graphs the estimator's packed_min_mean_prob
-// heuristic keeps the scalar path instead (see docs/kernel.md). The
-// estimator is primed OUTSIDE the timing loop (one throwaway
-// StatsBatch builds the packed set / snapshot pool), so the loop
-// measures pure per-world diffusion throughput — items/s counts
-// (worlds x candidates) evaluated per second. Arg pair: (packed 0/1,
-// worlds). The CI gate (scripts/perf_gate.py) asserts
-// packed >= 8x scalar at equal world count. Single estimator thread
-// for stable cross-arm ratios.
-void BM_PackedDiffusion(benchmark::State& state) {
-  static const Graph g =
-      WithConstantProb(DirectedPreferentialAttachment(2000, 10, 0.1, 5), 0.5);
-  const UtilityConfig config = MakeConfigC5();
-  const bool packed = state.range(0) != 0;
-  const int worlds = static_cast<int>(state.range(1));
-  constexpr int kBatch = 16;
-  std::vector<Allocation> candidates;
-  candidates.reserve(kBatch);
-  for (int j = 0; j < kBatch; ++j) {
-    Allocation a(2);
-    for (NodeId k = 0; k < 20; ++k) {
-      a.Add(static_cast<NodeId>((j * 131 + k * 37) %
-                                static_cast<int>(g.num_nodes())),
-            static_cast<ItemId>(k % 2));
-    }
-    candidates.push_back(std::move(a));
-  }
-  const WelfareEstimator estimator(g, config,
-                                   {.num_worlds = worlds,
-                                    .seed = 29,
-                                    .num_threads = 1,
-                                    .packed_kernel = packed,
-                                    .packed_min_worlds = 1});
-  benchmark::DoNotOptimize(estimator.StatsBatch(candidates));  // prime
-  double acc = 0.0;
-  for (auto _ : state) {
-    const std::vector<WelfareStats> stats = estimator.StatsBatch(candidates);
-    acc += stats.back().welfare;
-  }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * worlds *
-                          kBatch);
-  state.counters["worlds"] = static_cast<double>(worlds);
-}
-BENCHMARK(BM_PackedDiffusion)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 256})
-    ->Args({1, 256})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -401,7 +342,7 @@ BENCHMARK(BM_GraphStoreOpenOrkutLike)->Unit(benchmark::kMillisecond);
 // Engine::ApplyDelta executes synchronously: splice the delta into the
 // in-memory base CSR (delta/overlay.cc) and re-key the cached RR era
 // (clean sets reused verbatim, dirty ones resampled bit-identically).
-// Packed world pools are deliberately in neither arm: WorldPoolStore
+// Materialized world pools are deliberately in neither arm: WorldPoolStore
 // absorbs a delta lazily — NotifyDelta only records a patch hint, and
 // the prefix-copy repair runs at the next pool build, off the
 // delta-absorption path. The full arm pays what a deployment without

@@ -2,8 +2,8 @@
 # Header gates for the stable API layer, run from the repository root.
 #
 # Self-containment: every src/api/*.h — plus the simulate headers an
-# embedder reaches for when tuning the estimator (EstimatorOptions / the
-# packed kernel surface) — must compile standalone (a translation unit
+# embedder reaches for when tuning the estimator (EstimatorOptions and
+# the world pool store) — must compile standalone (a translation unit
 # that includes only the header), so embedders can include any of them
 # first without hidden include-order dependencies.
 #
@@ -15,7 +15,7 @@ set -euo pipefail
 CXX="${CXX:-g++}"
 status=0
 for header in src/api/*.h src/simulate/estimator.h \
-              src/simulate/packed_world.h src/simulate/world_pool.h; do
+              src/simulate/world_pool.h; do
   if "$CXX" -std=c++20 -fsyntax-only -Isrc -x c++ "$header"; then
     echo "self-contained: $header"
   else

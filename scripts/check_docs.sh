@@ -159,9 +159,8 @@ if [[ -n "$stale_sites" ]]; then
 fi
 
 # --- 3. The docs book exists and its relative links resolve --------------
-for doc in docs/ARCHITECTURE.md docs/kernel.md docs/determinism.md \
-           docs/embedding.md docs/serving.md docs/robustness.md \
-           docs/dynamic-graphs.md; do
+for doc in docs/ARCHITECTURE.md docs/determinism.md docs/embedding.md \
+           docs/serving.md docs/robustness.md docs/dynamic-graphs.md; do
   if [[ ! -f "$doc" ]]; then
     echo "MISSING DOC: $doc" >&2
     status=1

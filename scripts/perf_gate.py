@@ -13,7 +13,6 @@ holds the code to:
           of batch 1
   trace   a trace site with no recorder installed <= 2% slower than no
           site at all (the enabled-recorder arm is printed, not gated)
-  packed  packed diffusion >= 8.0x the scalar path at 256 worlds
   delta   absorbing a 10-edit delta incrementally >= 10x a full rebuild
           and resample (subcritical IC fixture; docs/dynamic-graphs.md)
 
@@ -118,18 +117,6 @@ GATES = [
                 "enabled-tracing = {enabled:,.0f} units/s (not gated)",
         "fail": "disabled tracing costs {value:.2%} "
                 "(needs <= {gate:.2%})",
-    },
-    {
-        "name": "packed", "measure": best_rate,
-        "arm": "BM_PackedDiffusion/1/256/real_time",
-        "base": "BM_PackedDiffusion/0/256/real_time",
-        "value": rate_speedup, "gate": 8.0, "passes": "at_least",
-        "line": "Diffusion throughput at 256 worlds: scalar = {base:,.0f} "
-                "world-candidates/s, packed = {arm:,.0f} "
-                "world-candidates/s (speedup {value:.2f}x, "
-                "gate {gate:.2f}x)",
-        "fail": "packed kernel throughput is only {value:.2f}x the scalar "
-                "path (needs >= {gate:.2f}x)",
     },
     {
         "name": "delta", "measure": best_time,

@@ -100,8 +100,7 @@ void RunTask(const ScenarioSpec& spec, const ScenarioTask& task,
   request.params.estimator = {
       .num_worlds = sims,
       .seed = MixHash(algo_seed, kEstTag),
-      .num_threads = options.inner_threads,
-      .packed_kernel = options.packed_kernel};
+      .num_threads = options.inner_threads};
   // Positional allocators share one cell-keyed ranking, so RR / Snake /
   // BlockUtil differ only in the item-to-position assignment (§6.4.3).
   request.ranking = {.epsilon = spec.epsilon,
@@ -113,8 +112,7 @@ void RunTask(const ScenarioSpec& spec, const ScenarioTask& task,
   // the engine's keyed pool store, on the same materialized snapshots.
   request.eval = {.num_worlds = eval_sims,
                   .seed = MixHash(cell_seed, kEvalTag),
-                  .num_threads = options.inner_threads,
-                  .packed_kernel = options.packed_kernel};
+                  .num_threads = options.inner_threads};
 
   AllocateResult result;
   const Status status = cell.engine->Allocate(std::move(request), &result);
@@ -157,7 +155,6 @@ SweepOptions EnvSweepOptions() {
       static_cast<std::size_t>(
           EnvInt("CWM_SNAPSHOT_BUDGET_MB", 256, /*min_value=*/0))
       << 20;
-  options.packed_kernel = EnvInt("CWM_PACKED", 1) != 0;
   if (const char* dir = std::getenv("CWM_CACHE_DIR");
       dir != nullptr && *dir != '\0') {
     options.cache_dir = dir;

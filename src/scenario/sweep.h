@@ -77,11 +77,6 @@ struct SweepOptions {
   /// of the single-process output.
   unsigned shard_index = 0;
   unsigned shard_count = 1;
-  /// Evaluate welfare batches with the word-parallel kernel
-  /// (EstimatorOptions::packed_kernel; CWM_PACKED=0 / cwm_run --no-packed
-  /// to disable). Never changes results — bit-identical to the scalar
-  /// path — only wall time.
-  bool packed_kernel = true;
   /// Progress callback, invoked in completion order from worker threads
   /// (serialize externally if needed). May be empty.
   std::function<void(const struct TaskResult&)> on_result;
@@ -89,8 +84,8 @@ struct SweepOptions {
 
 /// SweepOptions populated from the CWM_SIMS / CWM_EVAL_SIMS /
 /// CWM_BENCH_SCALE / CWM_GREEDY / CWM_THREADS / CWM_INNER_THREADS /
-/// CWM_RR_THREADS / CWM_SNAPSHOT_BUDGET_MB / CWM_PACKED / CWM_CACHE_DIR
-/// environment knobs.
+/// CWM_RR_THREADS / CWM_SNAPSHOT_BUDGET_MB / CWM_CACHE_DIR environment
+/// knobs.
 SweepOptions EnvSweepOptions();
 
 /// One executed (or skipped) grid cell.

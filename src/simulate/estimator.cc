@@ -6,43 +6,14 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
-#include "simulate/packed_world.h"
+#include "simulate/world.h"
 #include "support/thread_pool.h"
 
 namespace cwm {
 
-namespace {
-
 // World w derives its edge seed and noise stream deterministically from the
 // estimator seed (simulate/world.h), so every estimate (and both sides of a
 // marginal) sees the same sequence of possible worlds.
-uint64_t EdgeSeedOf(uint64_t base, int world) {
-  return WorldEdgeSeedOf(base, world);
-}
-
-Rng NoiseRngOf(uint64_t base, int world) {
-  return WorldNoiseRngOf(base, world);
-}
-
-// Runs `fn(blocks, group)` over the blocks of one chunk, kPackedGroup
-// consecutive blocks per pass (the wide arm) and the remainder one block
-// at a time (the narrow arm). Grouping depends only on the block count —
-// never on the CPU — so per-candidate accumulation order (blocks
-// ascending, lanes ascending inside each block) is identical on every
-// machine.
-template <typename Fn>
-void ForEachBlockGroup(std::span<const PackedWorldSet::Block> blocks,
-                       const Fn& fn) {
-  const PackedWorldSet::Block* ptrs[kPackedGroup];
-  for (std::size_t b = 0; b < blocks.size();) {
-    const int group = b + kPackedGroup <= blocks.size() ? kPackedGroup : 1;
-    for (int g = 0; g < group; ++g) ptrs[g] = &blocks[b + g];
-    fn(ptrs, group);
-    b += static_cast<std::size_t>(group);
-  }
-}
-
-}  // namespace
 
 WelfareEstimator::WelfareEstimator(const Graph& graph,
                                    const UtilityConfig& config,
@@ -92,49 +63,6 @@ const WorldPool& WelfareEstimator::EnsurePool() const {
   return *pool_;
 }
 
-const PackedWorldSet* WelfareEstimator::EnsurePacked() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (packed_resolved_) return packed_.get();
-  packed_resolved_ = true;
-  if (!options_.packed_kernel) return nullptr;
-  if (options_.num_worlds < options_.packed_min_worlds) return nullptr;
-  const int m = config_.num_items();
-  if (m < 1 || m > kMaxPackedItems) return nullptr;
-  // Regime gate: on weak-tie graphs the 64 lanes of a word rarely agree,
-  // so the union-frontier BFS does near-scalar work per world and the
-  // per-world snapshot path is faster. Mean edge probability is a cheap,
-  // deterministic proxy for that lane overlap.
-  if (options_.packed_min_mean_prob > 0.0) {
-    const auto edges = graph_.RawOutEdges();
-    double sum = 0.0;
-    for (const OutEdge& e : edges) sum += static_cast<double>(e.prob);
-    if (edges.empty() ||
-        sum < options_.packed_min_mean_prob * static_cast<double>(edges.size())) {
-      return nullptr;
-    }
-  }
-
-  static Counter& fallback =
-      MetricsRegistry::Global().GetCounter("simulate.packed_fallback");
-  const std::size_t chunks = NumChunks();
-  // All-or-nothing budget gate: the packed layout (blocks + per-chunk
-  // kernel scratch) cannot partially materialize, so over budget means
-  // the scalar snapshot path, which can.
-  if (PackedWorldSet::EstimateBytes(graph_, m, options_.num_worlds, chunks) >
-      BudgetBytes()) {
-    fallback.Add(1);
-    return nullptr;
-  }
-
-  CWM_TRACE_SPAN("simulate.pack_worlds",
-                 {{"worlds", options_.num_worlds}, {"chunks", chunks}});
-  packed_ = Store().GetOrBuildPacked(graph_, config_, options_.seed,
-                                     options_.num_worlds, chunks,
-                                     NumThreads());
-  if (packed_ == nullptr) fallback.Add(1);
-  return packed_.get();
-}
-
 WorldPoolStats WelfareEstimator::snapshot_stats() const {
   const std::lock_guard<std::mutex> lock(pool_mutex_);
   return pool_ == nullptr ? WorldPoolStats{} : pool_->stats();
@@ -157,8 +85,8 @@ WelfareStats WelfareEstimator::Stats(const Allocation& allocation) const {
         acc.adopters_per_item.assign(config_.num_items(), 0.0);
         for (int w = static_cast<int>(c); w < options_.num_worlds;
              w += static_cast<int>(chunks)) {
-          const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-          Rng noise_rng = NoiseRngOf(options_.seed, w);
+          const EdgeWorld edges{WorldEdgeSeedOf(options_.seed, w)};
+          Rng noise_rng = WorldNoiseRngOf(options_.seed, w);
           const WorldUtilityTable table(config_, noise_rng);
           const WorldOutcome out = sim.RunWorld(allocation, edges, table);
           acc.welfare += out.welfare;
@@ -201,65 +129,6 @@ std::vector<WelfareStats> WelfareEstimator::StatsBatch(
   if (count == 0) return totals;
 
   const std::size_t chunks = NumChunks();
-  if (const PackedWorldSet* packed = EnsurePacked()) {
-    static Counter& packed_worlds =
-        MetricsRegistry::Global().GetCounter("simulate.packed_worlds");
-    packed_worlds.Add(static_cast<uint64_t>(options_.num_worlds));
-    std::vector<std::vector<WelfareStats>> partial(chunks);
-    ParallelFor(
-        chunks,
-        [&](std::size_t c) {
-          PackedDiffusion engine(graph_, config_);
-          std::vector<WelfareStats>& acc = partial[c];
-          acc.resize(count);
-          for (WelfareStats& a : acc) {
-            a.adopters_per_item.assign(config_.num_items(), 0.0);
-          }
-          PackedOutcome outs[kPackedGroup];
-          // Draining a block's lanes 0..lane_count-1, blocks ascending,
-          // visits the chunk's worlds in exactly the order the scalar
-          // chunk loop does — per-candidate FP accumulation matches the
-          // streaming path bit for bit.
-          ForEachBlockGroup(
-              packed->ChunkBlocks(c),
-              [&](const PackedWorldSet::Block* const* blocks, int group) {
-                for (std::size_t j = 0; j < count; ++j) {
-                  engine.Run(blocks, group, allocations[j], outs);
-                  WelfareStats& a = acc[j];
-                  for (int g = 0; g < group; ++g) {
-                    for (int l = 0; l < blocks[g]->lane_count; ++l) {
-                      a.welfare += outs[g].welfare[l];
-                      a.adopting_nodes +=
-                          static_cast<double>(outs[g].adopting_nodes[l]);
-                      for (ItemId i = 0; i < config_.num_items(); ++i) {
-                        a.adopters_per_item[i] += static_cast<double>(
-                            outs[g].adopters[static_cast<std::size_t>(i) *
-                                                 kPackedLanes +
-                                             l]);
-                      }
-                    }
-                  }
-                }
-              });
-        },
-        static_cast<unsigned>(chunks));
-    const double inv = 1.0 / options_.num_worlds;
-    for (std::size_t j = 0; j < count; ++j) {
-      WelfareStats& total = totals[j];
-      for (const std::vector<WelfareStats>& p : partial) {
-        total.welfare += p[j].welfare;
-        total.adopting_nodes += p[j].adopting_nodes;
-        for (ItemId i = 0; i < config_.num_items(); ++i) {
-          total.adopters_per_item[i] += p[j].adopters_per_item[i];
-        }
-      }
-      total.welfare *= inv;
-      total.adopting_nodes *= inv;
-      for (double& x : total.adopters_per_item) x *= inv;
-    }
-    return totals;
-  }
-
   const WorldPool& pool = EnsurePool();
   // partial[c][j]: chunk c's accumulator for candidate j. Worlds stride
   // over chunks exactly like Stats(), so per-candidate accumulation order
@@ -290,8 +159,8 @@ std::vector<WelfareStats> WelfareEstimator::StatsBatch(
               accumulate(acc[j], sim.RunWorld(allocations[j], *snapshot));
             }
           } else {
-            const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-            Rng noise_rng = NoiseRngOf(options_.seed, w);
+            const EdgeWorld edges{WorldEdgeSeedOf(options_.seed, w)};
+            Rng noise_rng = WorldNoiseRngOf(options_.seed, w);
             const WorldUtilityTable table(config_, noise_rng);
             for (std::size_t j = 0; j < count; ++j) {
               accumulate(acc[j],
@@ -326,52 +195,6 @@ std::vector<double> WelfareEstimator::MarginalWelfareBatch(
   CWM_TRACE_SPAN("simulate.marginal_batch",
                  {{"batch", count}, {"worlds", options_.num_worlds}});
   if (count == 0) return {};
-  if (const PackedWorldSet* packed = EnsurePacked()) {
-    std::vector<Allocation> merged;
-    merged.reserve(count);
-    for (const Allocation& extra : extras) {
-      merged.push_back(Allocation::Union(base, extra));
-    }
-    const std::size_t chunks = NumChunks();
-    static Counter& packed_worlds =
-        MetricsRegistry::Global().GetCounter("simulate.packed_worlds");
-    packed_worlds.Add(static_cast<uint64_t>(options_.num_worlds));
-    std::vector<std::vector<double>> partial(chunks);
-    ParallelFor(
-        chunks,
-        [&](std::size_t c) {
-          PackedDiffusion engine(graph_, config_);
-          std::vector<double>& acc = partial[c];
-          acc.assign(count, 0.0);
-          PackedOutcome base_outs[kPackedGroup];
-          PackedOutcome outs[kPackedGroup];
-          // The base diffusion runs once per block group for the whole
-          // batch; each lane's `without` is the exact double the scalar
-          // path computes for that world.
-          ForEachBlockGroup(
-              packed->ChunkBlocks(c),
-              [&](const PackedWorldSet::Block* const* blocks, int group) {
-                engine.Run(blocks, group, base, base_outs);
-                for (std::size_t j = 0; j < count; ++j) {
-                  engine.Run(blocks, group, merged[j], outs);
-                  for (int g = 0; g < group; ++g) {
-                    for (int l = 0; l < blocks[g]->lane_count; ++l) {
-                      acc[j] +=
-                          outs[g].welfare[l] - base_outs[g].welfare[l];
-                    }
-                  }
-                }
-              });
-        },
-        static_cast<unsigned>(chunks));
-    std::vector<double> totals(count, 0.0);
-    for (std::size_t j = 0; j < count; ++j) {
-      for (const std::vector<double>& p : partial) totals[j] += p[j];
-      totals[j] /= options_.num_worlds;
-    }
-    return totals;
-  }
-
   return MarginalSession(*this, base, /*retain=*/false)
       .Gains(extras, MarginalSession::Objective::kWelfare);
 }
@@ -383,58 +206,6 @@ std::vector<double> WelfareEstimator::MarginalBalancedExposureBatch(
   CWM_TRACE_SPAN("simulate.exposure_batch",
                  {{"batch", count}, {"worlds", options_.num_worlds}});
   if (count == 0) return {};
-  if (const PackedWorldSet* packed = EnsurePacked()) {
-    std::vector<Allocation> merged;
-    merged.reserve(count);
-    for (const Allocation& extra : extras) {
-      merged.push_back(Allocation::Union(base, extra));
-    }
-    const bool base_empty = base.Empty();
-    const std::size_t chunks = NumChunks();
-    static Counter& packed_worlds =
-        MetricsRegistry::Global().GetCounter("simulate.packed_worlds");
-    packed_worlds.Add(static_cast<uint64_t>(options_.num_worlds));
-    std::vector<std::vector<double>> partial(chunks);
-    ParallelFor(
-        chunks,
-        [&](std::size_t c) {
-          PackedDiffusion engine(graph_, config_);
-          std::vector<double>& acc = partial[c];
-          acc.assign(count, 0.0);
-          PackedOutcome base_outs[kPackedGroup];
-          PackedOutcome outs[kPackedGroup];
-          // balance = n - one_sided; the n terms cancel in the marginal,
-          // and the empty allocation has one_sided == 0 (same arithmetic
-          // as the scalar MarginalSession pass).
-          ForEachBlockGroup(
-              packed->ChunkBlocks(c),
-              [&](const PackedWorldSet::Block* const* blocks, int group) {
-                if (!base_empty) engine.Run(blocks, group, base, base_outs);
-                for (std::size_t j = 0; j < count; ++j) {
-                  engine.Run(blocks, group, merged[j], outs);
-                  for (int g = 0; g < group; ++g) {
-                    for (int l = 0; l < blocks[g]->lane_count; ++l) {
-                      const double without =
-                          base_empty ? 0.0
-                                     : -static_cast<double>(
-                                           base_outs[g].one_sided_01[l]);
-                      const double with = -static_cast<double>(
-                          outs[g].one_sided_01[l]);
-                      acc[j] += with - without;
-                    }
-                  }
-                }
-              });
-        },
-        static_cast<unsigned>(chunks));
-    std::vector<double> totals(count, 0.0);
-    for (std::size_t j = 0; j < count; ++j) {
-      for (const std::vector<double>& p : partial) totals[j] += p[j];
-      totals[j] /= options_.num_worlds;
-    }
-    return totals;
-  }
-
   return MarginalSession(*this, base, /*retain=*/false)
       .Gains(extras, MarginalSession::Objective::kExposure);
 }
@@ -450,10 +221,6 @@ MarginalSession::MarginalSession(const WelfareEstimator& estimator,
       base_seeds_(base.SeededItemsets()),
       retain_(retain),
       chunks_(estimator.NumChunks()) {
-  // Only a retaining session decides the path up front; the one-shot pass
-  // runs from inside a batch method that already declined packing.
-  packed_ = retain_ && estimator.EnsurePacked() != nullptr;
-  if (packed_) return;
   pool_ = &estimator.EnsurePool();
   if (retain_) {
     sims_.resize(chunks_);
@@ -462,7 +229,6 @@ MarginalSession::MarginalSession(const WelfareEstimator& estimator,
 }
 
 double MarginalSession::Welfare(const Allocation& extra) {
-  if (packed_) return estimator_->MarginalWelfareBatch(base_, {&extra, 1})[0];
   ScopedPhaseTimer phase(Phase::kEstimate);
   CWM_TRACE_SPAN("simulate.marginal_batch",
                  {{"batch", 1}, {"worlds", estimator_->options().num_worlds}});
@@ -470,9 +236,6 @@ double MarginalSession::Welfare(const Allocation& extra) {
 }
 
 double MarginalSession::BalancedExposure(const Allocation& extra) {
-  if (packed_) {
-    return estimator_->MarginalBalancedExposureBatch(base_, {&extra, 1})[0];
-  }
   ScopedPhaseTimer phase(Phase::kEstimate);
   CWM_TRACE_SPAN("simulate.exposure_batch",
                  {{"batch", 1}, {"worlds", estimator_->options().num_worlds}});
@@ -514,8 +277,8 @@ void MarginalSession::Prepare(UicSimulator& sim, int w, RecordedWorld* world,
     return;
   }
   const uint64_t seed = estimator_->options().seed;
-  const EdgeWorld edges{EdgeSeedOf(seed, w)};
-  Rng noise_rng = NoiseRngOf(seed, w);
+  const EdgeWorld edges{WorldEdgeSeedOf(seed, w)};
+  Rng noise_rng = WorldNoiseRngOf(seed, w);
   const WorldUtilityTable table(estimator_->config(), noise_rng);
   world->outcome = sim.RunWorld(base_seeds_, edges, table);
   world->replayable = false;
@@ -584,8 +347,8 @@ std::vector<double> MarginalSession::Gains(std::span<const Allocation> extras,
                              world.outcome);
             }
           } else {
-            const EdgeWorld edges{EdgeSeedOf(options.seed, w)};
-            Rng noise_rng = NoiseRngOf(options.seed, w);
+            const EdgeWorld edges{WorldEdgeSeedOf(options.seed, w)};
+            Rng noise_rng = WorldNoiseRngOf(options.seed, w);
             const WorldUtilityTable table(estimator_->config(), noise_rng);
             for (std::size_t j = 0; j < count; ++j) {
               acc[j] += gain(sim.RunWorld(candidates[j].merged, edges, table),
@@ -620,8 +383,8 @@ double WelfareEstimator::MarginalWelfare(const Allocation& base,
         double acc = 0.0;
         for (int w = static_cast<int>(c); w < options_.num_worlds;
              w += static_cast<int>(chunks)) {
-          const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-          Rng noise_rng = NoiseRngOf(options_.seed, w);
+          const EdgeWorld edges{WorldEdgeSeedOf(options_.seed, w)};
+          Rng noise_rng = WorldNoiseRngOf(options_.seed, w);
           const WorldUtilityTable table(config_, noise_rng);
           const double with = sim.RunWorld(merged, edges, table).welfare;
           const double without = sim.RunWorld(base, edges, table).welfare;
@@ -656,8 +419,8 @@ double WelfareEstimator::MarginalBalancedExposure(
         double acc = 0.0;
         for (int w = static_cast<int>(c); w < options_.num_worlds;
              w += static_cast<int>(chunks)) {
-          const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
-          Rng noise_rng = NoiseRngOf(options_.seed, w);
+          const EdgeWorld edges{WorldEdgeSeedOf(options_.seed, w)};
+          Rng noise_rng = WorldNoiseRngOf(options_.seed, w);
           const WorldUtilityTable table(config_, noise_rng);
           // balance = n - one_sided; the n terms cancel in the marginal,
           // and the empty allocation has one_sided == 0.
@@ -700,7 +463,7 @@ double WelfareEstimator::MarginalSpread(const std::vector<NodeId>& base,
         double acc = 0.0;
         for (int w = static_cast<int>(c); w < options_.num_worlds;
              w += static_cast<int>(chunks)) {
-          const EdgeWorld edges{EdgeSeedOf(options_.seed, w)};
+          const EdgeWorld edges{WorldEdgeSeedOf(options_.seed, w)};
           const double with =
               static_cast<double>(sim.ReachableCount(merged, edges));
           const double without =

@@ -21,21 +21,13 @@
 // results are bit-identical to calling the corresponding streaming method
 // per candidate, at any thread count.
 //
-// Incremental marginals: off the packed path, a marginal records the
-// base's diffusion once per snapshotted world and re-simulates only each
-// extra's live-reach region on top of it (UicSimulator::Record/RunOver).
-// The batch marginals do this per world in one pass; a MarginalSession
-// keeps the records across calls for the lazy CELF refreshes of greedyWM
-// and Balance-C, and advances them by each round's pick
-// (UicSimulator::Advance) instead of re-recording. See
-// docs/ARCHITECTURE.md for the exactness argument.
-//
-// Word-parallel evaluation: when EstimatorOptions::packed_kernel is on
-// (the default) and the batch qualifies, the batch methods evaluate 64
-// worlds per machine word with the bit-packed kernel of
-// simulate/packed_world.h instead of one diffusion per world — same
-// world streams, same canonical aggregation order, bit-identical results;
-// only wall time changes. See docs/kernel.md.
+// Incremental marginals: a marginal records the base's diffusion once per
+// snapshotted world and re-simulates only each extra's live-reach region
+// on top of it (UicSimulator::Record/RunOver). The batch marginals do
+// this per world in one pass; a MarginalSession keeps the records across
+// calls for the lazy CELF refreshes of greedyWM and Balance-C, and
+// advances them by each round's pick (UicSimulator::Advance) instead of
+// re-recording. See docs/ARCHITECTURE.md for the exactness argument.
 #ifndef CWM_SIMULATE_ESTIMATOR_H_
 #define CWM_SIMULATE_ESTIMATOR_H_
 
@@ -52,8 +44,6 @@
 #include "simulate/world_pool.h"
 
 namespace cwm {
-
-class PackedWorldSet;
 
 /// Options shared by all Monte-Carlo estimates.
 struct EstimatorOptions {
@@ -77,26 +67,6 @@ struct EstimatorOptions {
   /// ignored). Not owned; must outlive the estimator. Never changes
   /// results — only wall time.
   WorldPoolStore* pool_store = nullptr;
-  /// Evaluate batch calls with the word-parallel kernel
-  /// (simulate/packed_world.h): 64 worlds per machine word instead of one
-  /// diffusion per world. Falls back to the scalar snapshot path
-  /// transparently when the batch has fewer than `packed_min_worlds`
-  /// worlds, the graph's mean edge probability is below
-  /// `packed_min_mean_prob`, the configuration has more than 6 items (the
-  /// packed transition tables are 3^m), or the packed layout exceeds the
-  /// snapshot/store byte budget. Never changes results — bit-identical to
-  /// the scalar path at any thread count — only wall time.
-  bool packed_kernel = true;
-  /// Minimum worlds before packing pays for its set build.
-  int packed_min_worlds = 32;
-  /// Regime gate: the packed kernel wins when the 64 lanes of a word
-  /// mostly agree (strong-tie / noise-dominated graphs — see
-  /// docs/kernel.md), and loses to per-world snapshots on weak-tie graphs
-  /// whose cascades barely overlap across worlds. Engage packing only
-  /// when the graph's mean edge probability reaches this threshold;
-  /// 0 packs unconditionally. Purely a speed decision — results are
-  /// bit-identical on every path.
-  double packed_min_mean_prob = 0.4;
 };
 
 /// Expected-value statistics of an allocation.
@@ -122,9 +92,8 @@ class WelfareEstimator;
 /// bit-identical to the streaming MarginalWelfare /
 /// MarginalBalancedExposure against the current base at any thread count.
 /// Records stay within the estimator's snapshot (or store) byte budget;
-/// worlds past it, or without a snapshot, take the plain diffusion. When
-/// the estimator takes the packed kernel, gains go through the packed
-/// batch instead. Not thread-safe; the estimator must outlive the session.
+/// worlds past it, or without a snapshot, take the plain diffusion. Not
+/// thread-safe; the estimator must outlive the session.
 class MarginalSession {
  public:
   /// rho(base ∪ extra) - rho(base).
@@ -163,7 +132,6 @@ class MarginalSession {
   Allocation base_;
   std::vector<std::pair<NodeId, ItemSet>> base_seeds_;
   bool retain_;
-  bool packed_ = false;
   bool recorded_ = false;
   /// Seed nodes of the picks the records have not advanced by yet
   /// (ascending, unique).
@@ -264,12 +232,6 @@ class WelfareEstimator {
   /// The snapshot pool, resolved through Store() once per lifetime.
   const WorldPool& EnsurePool() const;
 
-  /// The packed world set, resolved through Store() on first use, or
-  /// nullptr when the packed path is unavailable (knob off, too few
-  /// worlds, too many items, or over budget) — callers take the scalar
-  /// snapshot path then. Resolved once per estimator lifetime.
-  const PackedWorldSet* EnsurePacked() const;
-
   const Graph& graph_;
   const UtilityConfig& config_;
   EstimatorOptions options_;
@@ -277,8 +239,6 @@ class WelfareEstimator {
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<WorldPoolStore> own_store_;
   mutable std::shared_ptr<const WorldPool> pool_;
-  mutable std::shared_ptr<const PackedWorldSet> packed_;
-  mutable bool packed_resolved_ = false;
 };
 
 }  // namespace cwm

@@ -154,12 +154,11 @@ void UicSimulator::RunDiffusion(Seeds seeds,
 }
 
 WorldOutcome UicSimulator::Aggregate(const WorldUtilityTable& utilities) {
-  // Touch order is world-specific (it follows the frontier), but the
-  // canonical ascending order is reproducible by any evaluation engine —
-  // in particular the word-parallel kernel (simulate/packed_world.h),
-  // which must land on bit-identical welfare sums.
-  // Every outcome — plain, recorded or spliced — sums welfare over nodes
-  // in ascending order, so the double is the same sum on every path.
+  // Touch order is world-specific (it follows the frontier), and a
+  // spliced outcome (RunOver, Advance) merges recorded and re-run nodes
+  // by node id. So every outcome — plain, recorded or spliced — sums
+  // welfare over nodes in ascending order, and the double is the same sum
+  // on every path (tests/golden/ pins these doubles).
   std::sort(touched_.begin(), touched_.end());
   WorldOutcome outcome;
   outcome.adopters_per_item.assign(config_.num_items(), 0);

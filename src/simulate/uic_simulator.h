@@ -32,9 +32,9 @@ class WorldSnapshot;
 /// Outcome of one deterministic possible-world diffusion.
 struct WorldOutcome {
   /// rho_w(S): sum over nodes of the utility of their final adoption set.
-  /// Summed in ascending node order — the canonical aggregation order
-  /// every evaluation engine (lazy, snapshot, packed) reproduces exactly,
-  /// so the double is bit-identical across all of them.
+  /// Summed in ascending node order — the order a spliced outcome
+  /// (UicSimulator::RunOver, Advance) merges nodes in — so the double is
+  /// bit-identical across the lazy, snapshot and incremental paths.
   double welfare = 0.0;
   /// Number of nodes whose final adoption set contains item i.
   std::vector<uint64_t> adopters_per_item;

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simulate/packed_world.h"
 #include "support/check.h"
 #include "support/thread_pool.h"
 
@@ -194,7 +193,7 @@ std::size_t WorldPoolStore::EvictFor(std::size_t desired) {
     auto victim = pools_.end();
     for (auto it = pools_.begin(); it != pools_.end(); ++it) {
       if (!it->second.ready.load(std::memory_order_relaxed)) continue;
-      if (it->second.artifact.use_count() > 1) continue;
+      if (it->second.pool.use_count() > 1) continue;
       if (victim == pools_.end() ||
           it->second.last_use.load(std::memory_order_relaxed) <
               victim->second.last_use.load(std::memory_order_relaxed)) {
@@ -211,10 +210,10 @@ std::size_t WorldPoolStore::EvictFor(std::size_t desired) {
   return resident;
 }
 
-template <typename T, typename PlanFn, typename BuildFn>
-std::shared_ptr<const T> WorldPoolStore::GetOrBuildEntry(const Key& key,
-                                                         PlanFn plan,
-                                                         BuildFn build) {
+std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
+    const Graph& graph, const UtilityConfig& config, uint64_t seed,
+    int num_worlds, unsigned num_threads) {
+  const Key key{&graph, &config, seed, num_worlds};
   // The pool.* counters are the one count of pool events, summed over
   // every store of the process: `--metrics` dumps them and cwm_run prints
   // their per-sweep differences. Each registers at its first event.
@@ -224,11 +223,11 @@ std::shared_ptr<const T> WorldPoolStore::GetOrBuildEntry(const Key& key,
     reuses.Add(1);
     entry.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
-    return std::static_pointer_cast<const T>(entry.artifact);
+    return entry.pool;
   };
-  // Fast path: resident entries serve under a shared lock, so concurrent
+  // Fast path: resident pools serve under a shared lock, so concurrent
   // requests (a serving worker pool evaluating many requests against one
-  // engine) never contend once the artifact exists.
+  // engine) never contend once the pool exists.
   {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     if (auto it = pools_.find(key);
@@ -254,48 +253,40 @@ std::shared_ptr<const T> WorldPoolStore::GetOrBuildEntry(const Key& key,
   }
 
   // Miss: reserve the key and its budget under the lock, build outside
-  // it. A resident pre-delta entry with this identity turns the build
-  // into a prefix-copy patch. Pin it before the eviction scan (the pin
-  // also shields it from being evicted out from under the build).
-  const Plan want = plan();
+  // it. One footprint estimate per graph feeds the reservation, the
+  // eviction target, and the pool's own prefix cutoff. A resident
+  // pre-delta pool with this identity turns the build into a prefix-copy
+  // patch. Pin it before the eviction scan (the pin also shields it from
+  // being evicted out from under the build).
+  const std::size_t per_world_bytes = FootprintOf(graph);
+  const std::size_t want = std::min(
+      budget_bytes_, per_world_bytes * static_cast<std::size_t>(num_worlds));
   EdgeId watermark = 0;
-  std::shared_ptr<const T> prior;
+  std::shared_ptr<const WorldPool> prior;
   if (const Entry* source = FindPatchSource(key, &watermark);
       source != nullptr) {
-    prior = std::static_pointer_cast<const T>(source->artifact);
+    prior = source->pool;
   }
-  // An all-or-nothing artifact has no per-world fallback, so it is refused
-  // unless evicting every unreferenced ready entry would make room — and
-  // then before anything is evicted or reserved. A refusal inserts no
-  // entry: concurrent same-key callers each re-evaluate, which only costs
-  // repeated scans, never repeated builds.
-  if (want.all_or_nothing) {
-    std::size_t held = 0;
-    for (const auto& [k, entry] : pools_) {
-      if (!entry.ready.load(std::memory_order_relaxed) ||
-          entry.artifact.use_count() > 1) {
-        held += entry.bytes;
-      }
-    }
-    if (held + want.bytes > budget_bytes_) return nullptr;
-  }
-  const std::size_t resident = EvictFor(want.bytes);
+  const std::size_t resident = EvictFor(want);
   const std::size_t remaining =
       budget_bytes_ > resident ? budget_bytes_ - resident : 0;
   std::promise<void> done;
   auto [it, inserted] = pools_.try_emplace(key);
   CWM_CHECK(inserted);
   Entry& entry = it->second;
-  entry.bytes = std::min(want.bytes, remaining);  // reservation until built
+  entry.bytes = std::min(want, remaining);  // reservation until built
   entry.build = done.get_future().share();
   entry.last_use.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
   lock.unlock();
 
-  auto [artifact, bytes] = build(prior.get(), watermark, remaining);
+  auto pool = std::make_shared<const WorldPool>(
+      graph, config, seed, num_worlds, remaining, num_threads,
+      per_world_bytes, prior.get(), watermark);
+  const std::size_t bytes = pool->stats().bytes;
 
   lock.lock();
-  entry.artifact = artifact;  // the entry cannot be evicted while !ready
+  entry.pool = pool;  // the entry cannot be evicted while !ready
   entry.bytes = bytes;
   entry.ready.store(true, std::memory_order_release);
   static Counter& builds = MetricsRegistry::Global().GetCounter("pool.builds");
@@ -307,52 +298,7 @@ std::shared_ptr<const T> WorldPoolStore::GetOrBuildEntry(const Key& key,
   }
   lock.unlock();
   done.set_value();
-  return artifact;
-}
-
-std::shared_ptr<const WorldPool> WorldPoolStore::GetOrBuild(
-    const Graph& graph, const UtilityConfig& config, uint64_t seed,
-    int num_worlds, unsigned num_threads) {
-  // One footprint estimate per graph feeds the reservation, the eviction
-  // target, and the pool's own prefix cutoff.
-  std::size_t per_world_bytes = 0;
-  return GetOrBuildEntry<WorldPool>(
-      Key{&graph, &config, seed, num_worlds, /*chunks=*/0},
-      [&] {
-        per_world_bytes = FootprintOf(graph);
-        return Plan{std::min(budget_bytes_,
-                             per_world_bytes *
-                                 static_cast<std::size_t>(num_worlds)),
-                    /*all_or_nothing=*/false};
-      },
-      [&](const WorldPool* prior, EdgeId watermark, std::size_t remaining) {
-        auto pool = std::make_shared<const WorldPool>(
-            graph, config, seed, num_worlds, remaining, num_threads,
-            per_world_bytes, prior, watermark);
-        return std::pair{pool, pool->stats().bytes};
-      });
-}
-
-std::shared_ptr<const PackedWorldSet> WorldPoolStore::GetOrBuildPacked(
-    const Graph& graph, const UtilityConfig& config, uint64_t seed,
-    int num_worlds, std::size_t chunks, unsigned num_threads) {
-  // A packed set is the same cached artifact (one key's materialized
-  // world sequence) in a different layout, so it shares the pool counters
-  // and the stderr "pools:" line; lane packing cannot stop partway, so
-  // its plan is all-or-nothing.
-  return GetOrBuildEntry<PackedWorldSet>(
-      Key{&graph, &config, seed, num_worlds, chunks},
-      [&] {
-        return Plan{PackedWorldSet::EstimateBytes(graph, config.num_items(),
-                                                  num_worlds, chunks),
-                    /*all_or_nothing=*/true};
-      },
-      [&](const PackedWorldSet* prior, EdgeId watermark, std::size_t) {
-        auto packed = std::make_shared<const PackedWorldSet>(
-            graph, config, seed, num_worlds, chunks, num_threads, prior,
-            watermark);
-        return std::pair{packed, packed->bytes()};
-      });
+  return pool;
 }
 
 }  // namespace cwm

@@ -31,11 +31,10 @@
 // evicts unreferenced pools LRU-first; like the pools themselves it only
 // ever changes wall time, never results.
 //
-// WorldSnapshot, WorldPool and PackedWorldSet (simulate/packed_world.h)
-// have one constructor each, whose optional `prior` makes the build a
-// patch after a graph delta. Only the store builds pools and packed sets,
-// through one build-once body; estimators always resolve worlds through
-// a store.
+// WorldSnapshot and WorldPool have one constructor each, whose optional
+// `prior` makes the build a patch after a graph delta. Only the store
+// builds pools, through one build-once body; estimators always resolve
+// worlds through a store.
 #ifndef CWM_SIMULATE_WORLD_POOL_H_
 #define CWM_SIMULATE_WORLD_POOL_H_
 
@@ -55,8 +54,6 @@
 #include "simulate/world.h"
 
 namespace cwm {
-
-class PackedWorldSet;
 
 /// One fully materialized possible world: live out-edges as a CSR over
 /// the full node universe, plus the world's fixed-noise utility table.
@@ -206,23 +203,10 @@ class WorldPoolStore {
                                               uint64_t seed, int num_worlds,
                                               unsigned num_threads);
 
-  /// The packed world set (simulate/packed_world.h) for
-  /// (graph, config, seed, num_worlds) laid out for a `chunks`-way
-  /// evaluation — the extra key field, because lane packing bakes the
-  /// chunk stride in. Unlike snapshot pools, a packed set is
-  /// all-or-nothing: returns nullptr, having evicted nothing, when it
-  /// could not fit the store budget even after evicting every
-  /// unreferenced entry, and the caller falls back to the scalar path.
-  /// Packed entries share the store's budget, eviction policy, and
-  /// built/reuse/evict counters with snapshot pools.
-  std::shared_ptr<const PackedWorldSet> GetOrBuildPacked(
-      const Graph& graph, const UtilityConfig& config, uint64_t seed,
-      int num_worlds, std::size_t chunks, unsigned num_threads);
-
   /// Registers that `new_graph` is `old_graph` composed with a delta
   /// whose dirty watermark is `first_dirty_edge` (delta/overlay.h). A
   /// later miss for `new_graph` then *patches* the matching resident
-  /// pool/packed set of `old_graph` (prefix copy below the watermark)
+  /// pool of `old_graph` (prefix copy below the watermark)
   /// instead of building cold — bit-identical, proportional to the dirty
   /// region. Hints chain: after several deltas a miss walks back to the
   /// nearest resident ancestor with the watermarks combined. Both graphs
@@ -238,20 +222,17 @@ class WorldPoolStore {
     const UtilityConfig* config;
     uint64_t seed;
     int num_worlds;
-    std::size_t chunks;  // 0 = snapshot pool; > 0 = packed set layout
     bool operator<(const Key& o) const {
       if (graph != o.graph) return graph < o.graph;
       if (config != o.config) return config < o.config;
       if (seed != o.seed) return seed < o.seed;
-      if (num_worlds != o.num_worlds) return num_worlds < o.num_worlds;
-      return chunks < o.chunks;
+      return num_worlds < o.num_worlds;
     }
   };
   struct Entry {
-    /// The WorldPool (Key::chunks == 0) or PackedWorldSet. Written once,
-    /// by the building thread under the exclusive lock; `ready` (release)
-    /// publishes it to shared-lock readers (acquire).
-    std::shared_ptr<const void> artifact;
+    /// Written once, by the building thread under the exclusive lock;
+    /// `ready` (release) publishes it to shared-lock readers (acquire).
+    std::shared_ptr<const WorldPool> pool;
     /// Budget reservation while building; actual footprint once ready.
     std::size_t bytes = 0;
     /// LRU stamp; atomic because shared-lock hits refresh it.
@@ -260,23 +241,6 @@ class WorldPoolStore {
     /// Valid while !ready: same-key callers wait on it outside the lock.
     std::shared_future<void> build;
   };
-
-  /// What a miss reserves: `bytes` of the budget, either all-or-nothing
-  /// (refused unless they fit whole) or shrunk to what remains.
-  struct Plan {
-    std::size_t bytes;
-    bool all_or_nothing;
-  };
-
-  /// The one build-once body behind GetOrBuild and GetOrBuildPacked.
-  /// `plan()` runs under the exclusive lock; `build(prior, watermark,
-  /// remaining)` runs outside it — `prior` is the patch source or nullptr,
-  /// `remaining` the budget left after eviction — and returns
-  /// {artifact, footprint bytes}. nullptr only for a refused
-  /// all-or-nothing plan.
-  template <typename T, typename PlanFn, typename BuildFn>
-  std::shared_ptr<const T> GetOrBuildEntry(const Key& key, PlanFn plan,
-                                           BuildFn build);
 
   /// Evicts unreferenced ready entries LRU-first until `desired` more
   /// bytes fit (or nothing evictable remains); returns resident bytes

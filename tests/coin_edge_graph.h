@@ -2,9 +2,8 @@
 // coins: p = 0 and p = 1 (EdgeWorld::Live's short-circuits and the
 // threshold table's sentinels), the smallest positive float, 1e-6, 0.25,
 // 0.5 and the largest float below 1. Shared by the snapshot
-// (simulate_test), packed (packed_world_test) and patch (delta_test)
-// suites, which each check their materialized worlds against the
-// streaming coins on it.
+// (simulate_test) and patch (delta_test) suites, which each check their
+// materialized worlds against the streaming coins on it.
 #ifndef CWM_TESTS_COIN_EDGE_GRAPH_H_
 #define CWM_TESTS_COIN_EDGE_GRAPH_H_
 

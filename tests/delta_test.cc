@@ -4,7 +4,7 @@
 // (including the store.delta.validate failpoint), RR-era invalidation
 // accounting (clean sets reused verbatim, dirty sets resampled
 // bit-identically, several eras patched concurrently), patched world
-// snapshots / packed sets vs cold rebuilds, and Engine::ApplyDelta —
+// snapshots and pools vs cold rebuilds, and Engine::ApplyDelta —
 // equivalence across every registered allocator at 1 and 8 threads,
 // patched empty-S_P PRIMA+ eras serving the post-delta runs, the RR
 // working set a delta patches (the engine's own eras only, taken once
@@ -35,7 +35,6 @@
 #include "rrset/imm.h"
 #include "rrset/rr_pipeline.h"
 #include "rrset/rr_sampler.h"
-#include "simulate/packed_world.h"
 #include "simulate/world.h"
 #include "simulate/world_pool.h"
 #include "store/artifact_cache.h"
@@ -520,24 +519,6 @@ void ExpectSnapshotsEqual(const WorldSnapshot& got, const WorldSnapshot& want,
   }
 }
 
-void ExpectPackedSetsEqual(const PackedWorldSet& got,
-                           const PackedWorldSet& want) {
-  ASSERT_EQ(got.chunks(), want.chunks());
-  ASSERT_EQ(got.num_worlds(), want.num_worlds());
-  for (std::size_t c = 0; c < want.chunks(); ++c) {
-    const auto a = want.ChunkBlocks(c), b = got.ChunkBlocks(c);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t blk = 0; blk < a.size(); ++blk) {
-      EXPECT_EQ(a[blk].lane_count, b[blk].lane_count);
-      EXPECT_EQ(a[blk].lane_mask, b[blk].lane_mask);
-      EXPECT_EQ(a[blk].edge_mask, b[blk].edge_mask);
-      EXPECT_EQ(a[blk].utility, b[blk].utility);
-      EXPECT_EQ(a[blk].adopt_plane, b[blk].adopt_plane);
-      EXPECT_EQ(a[blk].adopt_changed, b[blk].adopt_changed);
-    }
-  }
-}
-
 // Patched snapshots of `base` after a churn delta equal cold builds of the
 // new graph, standalone and through the pools (whose workers share one
 // coin threshold table).
@@ -573,42 +554,18 @@ void ExpectPatchedSnapshotsEqualCold(const Graph& base, uint64_t churn_seed) {
   }
 }
 
-// Patched packed sets equal cold ones, word for word.
-void ExpectPatchedPackedEqualsCold(const Graph& base, uint64_t churn_seed) {
-  const StatusOr<AppliedDelta> applied =
-      ApplyDeltaToGraph(base, GenerateChurnDelta(base, churn_seed, 20));
-  ASSERT_TRUE(applied.ok());
-  const Graph& next = applied.value().graph;
-  const UtilityConfig config = MakeConfigC1();
-  const uint64_t seed = 0xACE;
-  const int num_worlds = 130;
-  const std::size_t chunks = 2;
-
-  const PackedWorldSet prior(base, config, seed, num_worlds, chunks, 4);
-  const PackedWorldSet cold(next, config, seed, num_worlds, chunks, 4);
-  const PackedWorldSet patched(next, config, seed, num_worlds, chunks, 4,
-                               &prior, applied.value().first_dirty_edge);
-  ExpectPackedSetsEqual(patched, cold);
-}
-
 TEST(DeltaWorldTest, PatchedSnapshotBitIdenticalToColdBuild) {
   ExpectPatchedSnapshotsEqualCold(TestGraph(), 11);
-}
-
-TEST(DeltaWorldTest, PatchedPackedSetBitIdenticalToColdBuild) {
-  ExpectPatchedPackedEqualsCold(TestGraph(), 13);
 }
 
 // The same on a graph with p = 0, p = 1 and the other coin edge cases.
 TEST(DeltaWorldTest, CoinEdgeGraphPatchedWorldsBitIdenticalToColdBuilds) {
   ExpectPatchedSnapshotsEqualCold(CoinEdgeGraph(), 17);
-  ExpectPatchedPackedEqualsCold(CoinEdgeGraph(), 19);
 }
 
-// Two deltas A -> B -> C with the pool and the packed set resident on A
-// only: a miss on C walks the hint chain back to A and patches from it
-// below the lower of the two watermarks, bit-identically to cold builds
-// on C.
+// Two deltas A -> B -> C with the pool resident on A only: a miss on C
+// walks the hint chain back to A and patches from it below the lower of
+// the two watermarks, bit-identically to cold builds on C.
 TEST(DeltaWorldTest, StorePatchesAcrossATwoHopDeltaChain) {
   const Graph a = TestGraph();
   const StatusOr<AppliedDelta> ab =
@@ -624,25 +581,16 @@ TEST(DeltaWorldTest, StorePatchesAcrossATwoHopDeltaChain) {
   const UtilityConfig config = MakeConfigC1();
   const uint64_t seed = 0xC4A1;
   const int pool_worlds = 6;
-  const int packed_worlds = 130;
-  const std::size_t chunks = 2;
   WorldPoolStore store(64ull << 20);
   ASSERT_NE(store.GetOrBuild(a, config, seed, pool_worlds, 3), nullptr);
-  ASSERT_NE(
-      store.GetOrBuildPacked(a, config, seed, packed_worlds, chunks, 4),
-      nullptr);
   store.NotifyDelta(a, b, ab.value().first_dirty_edge);
   store.NotifyDelta(b, c, bc.value().first_dirty_edge);
 
   const Counter& patches =
       MetricsRegistry::Global().GetCounter("pool.patches");
-  uint64_t patches_before = patches.value();
+  const uint64_t patches_before = patches.value();
   const std::shared_ptr<const WorldPool> pool =
       store.GetOrBuild(c, config, seed, pool_worlds, 3);
-  EXPECT_EQ(patches.value() - patches_before, 1u);
-  patches_before = patches.value();
-  const std::shared_ptr<const PackedWorldSet> packed =
-      store.GetOrBuildPacked(c, config, seed, packed_worlds, chunks, 4);
   EXPECT_EQ(patches.value() - patches_before, 1u);
 
   for (int w = 0; w < pool_worlds; ++w) {
@@ -652,9 +600,6 @@ TEST(DeltaWorldTest, StorePatchesAcrossATwoHopDeltaChain) {
     ExpectSnapshotsEqual(*pool->Get(w), cold, c, config.num_items(),
                          "world " + std::to_string(w));
   }
-  ASSERT_NE(packed, nullptr);
-  ExpectPackedSetsEqual(
-      *packed, PackedWorldSet(c, config, seed, packed_worlds, chunks, 4));
 }
 
 TEST(DeltaRrPatchTest, CleanSetsReusedDirtySetsResampledBitIdentically) {

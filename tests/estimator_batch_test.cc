@@ -138,13 +138,8 @@ TEST_P(EstimatorBatchTest, TinyBudgetStreamsWorldsWithIdenticalResults) {
   // batch loop. 0: materialization disabled outright. Both must match the
   // default-budget batch bit for bit.
   const std::vector<Allocation> candidates = Candidates(c.num_items());
-  // packed_kernel off: this test is about the snapshot pool's streaming
-  // fallback, so the reference must actually build snapshots.
-  const WelfareEstimator full(g, c,
-                              {.num_worlds = 33,
-                               .seed = 13,
-                               .num_threads = GetParam(),
-                               .packed_kernel = false});
+  const WelfareEstimator full(
+      g, c, {.num_worlds = 33, .seed = 13, .num_threads = GetParam()});
   const std::vector<WelfareStats> reference = full.StatsBatch(candidates);
   EXPECT_GT(full.snapshot_stats().snapshotted, 0);
   for (const std::size_t budget : {std::size_t{1}, std::size_t{0}}) {
@@ -516,8 +511,7 @@ TEST_P(MarginalSessionTest, GainsBitEqualStreaming) {
                                    {.num_worlds = 33,
                                     .seed = 71,
                                     .num_threads = GetParam(),
-                                    .snapshot_budget_bytes = budget,
-                                    .packed_kernel = false});
+                                    .snapshot_budget_bytes = budget});
         for (const Allocation& base : Bases(c.num_items())) {
           const std::vector<Allocation> extras = Extras(base);
           MarginalSession session = est.Marginals(base);
@@ -565,8 +559,7 @@ TEST_P(MarginalSessionTest, AdvancedGainsBitEqualStreaming) {
         return EstimatorOptions{.num_worlds = 33,
                                 .seed = 72,
                                 .num_threads = GetParam(),
-                                .snapshot_budget_bytes = budget,
-                                .packed_kernel = false};
+                                .snapshot_budget_bytes = budget};
       };
       const WelfareEstimator full(net.graph, c, options(256ull << 20));
       const WelfareEstimator partial(net.graph, c, options(per_world * 10));
@@ -606,10 +599,10 @@ TEST_P(MarginalSessionTest, AdvancedGainsBitEqualStreaming) {
   }
 }
 
-// With the packed kernel engaged (strong ties, enough worlds) a session
-// takes the packed batch; its gains still equal the streaming references,
-// before and after advancing.
-TEST_P(MarginalSessionTest, PackedEstimatorSessionBitEqualsStreaming) {
+// On a strong-tie graph (p = 0.5), where cascades reach far, a session
+// under default options equals the streaming references, before and after
+// advancing, with every world snapshotted.
+TEST_P(MarginalSessionTest, StrongTieSessionBitEqualsStreaming) {
   const Graph g = WithConstantProb(ErdosRenyi(150, 750, 11), 0.5);
   const UtilityConfig c = MakeConfigC1();
   const WelfareEstimator est(
@@ -629,7 +622,7 @@ TEST_P(MarginalSessionTest, PackedEstimatorSessionBitEqualsStreaming) {
       current = Allocation::Union(current, pick);
     }
   }
-  EXPECT_EQ(est.snapshot_stats().snapshotted, 0);  // never left packing
+  EXPECT_EQ(est.snapshot_stats().snapshotted, 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, MarginalSessionTest,

@@ -115,11 +115,8 @@ TEST(WorldSnapshotTest, CoinEdgeGraphSnapshotsEqualStreaming) {
     EXPECT_EQ(snapped.adopters_per_item, streamed.adopters_per_item);
     EXPECT_EQ(snapped.adopting_nodes, streamed.adopting_nodes);
   }
-  const WelfareEstimator est(g, c,
-                             {.num_worlds = 40,
-                              .seed = seed,
-                              .num_threads = 2,
-                              .packed_kernel = false});
+  const WelfareEstimator est(
+      g, c, {.num_worlds = 40, .seed = seed, .num_threads = 2});
   const WelfareStats batched = est.StatsBatch({&alloc, 1})[0];
   const WelfareStats streamed = est.Stats(alloc);
   EXPECT_EQ(batched.welfare, streamed.welfare);

@@ -35,10 +35,6 @@
 //                     snapshots backing batched welfare evaluation
 //                     (default 256; 0 streams every world lazily).
 //                     Bit-identical results at any value.
-//   --no-packed       evaluate welfare batches on the scalar path instead
-//                     of the word-parallel packed kernel (CWM_PACKED=0).
-//                     Bit-identical results either way; packed is just
-//                     faster.
 //   --shard I/N       run only grid cells with task index ≡ I (mod N), for
 //                     multi-process sweeps (I in [0, N)). Every emitted
 //                     row is bit-identical to the same row of an
@@ -60,8 +56,8 @@
 //   --quiet           suppress the progress table on stdout
 //
 // Environment knobs (CWM_SIMS, CWM_EVAL_SIMS, CWM_BENCH_SCALE, CWM_GREEDY,
-// CWM_THREADS, CWM_INNER_THREADS, CWM_RR_THREADS, CWM_SNAPSHOT_BUDGET_MB,
-// CWM_PACKED) provide defaults; flags win.
+// CWM_THREADS, CWM_INNER_THREADS, CWM_RR_THREADS, CWM_SNAPSHOT_BUDGET_MB)
+// provide defaults; flags win.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -95,7 +91,7 @@ int Usage(const char* argv0, int code) {
                "         [--algos CSV] [--threads N] [--rr-threads N]\n"
                "         [--inner-threads N]\n"
                "         [--sims N] [--eval-sims N] [--scale X] [--seed S]\n"
-               "         [--snapshot-budget-mb N] [--no-packed]\n"
+               "         [--snapshot-budget-mb N]\n"
                "         [--cache-dir DIR] [--shard I/N] [--slow]\n"
                "         [--timing] [--quiet]\n"
                "         [--trace FILE.json] [--metrics FILE.json]\n",
@@ -282,7 +278,6 @@ int main(int argc, char** argv) {
     }
     if (ParseValue(argc, argv, &i, "--trace", &trace_path)) continue;
     if (ParseValue(argc, argv, &i, "--metrics", &metrics_path)) continue;
-    if (arg == "--no-packed") { options.packed_kernel = false; continue; }
     if (arg == "--slow") { options.run_slow_everywhere = true; continue; }
     if (arg == "--timing") { timing = true; continue; }
     if (arg == "--quiet") { quiet = true; continue; }
