@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <memory>
@@ -46,9 +47,22 @@ std::string BenchTempPath(const char* name) {
   // another user's (unwritable, differently-shaped) fixture and feed the
   // CI perf gate a foreign file.
   static const uint64_t token = std::random_device{}();
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(token) + "_" + name))
-      .string();
+  // Every fixture path, removed with whatever lies under it when the
+  // process exits. Fixtures are made from benchmark bodies, which run one
+  // at a time, so the list needs no lock.
+  static struct RemovedAtExit {
+    std::vector<std::string> paths;
+    ~RemovedAtExit() {
+      for (const std::string& path : paths) {
+        std::error_code ignored;
+        std::filesystem::remove_all(path, ignored);
+      }
+    }
+  } created;
+  created.paths.push_back((std::filesystem::temp_directory_path() /
+                           (std::to_string(token) + "_" + name))
+                              .string());
+  return created.paths.back();
 }
 
 void BM_SampleStandardRr(benchmark::State& state) {

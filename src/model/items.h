@@ -41,12 +41,6 @@ inline ItemSet WithItem(ItemSet s, ItemId i) {
 
 inline int SetSize(ItemSet s) { return std::popcount(s); }
 
-/// Full set {0, ..., num_items-1}.
-inline ItemSet FullSet(int num_items) {
-  CWM_CHECK(num_items >= 0 && num_items <= kMaxItems);
-  return static_cast<ItemSet>((1u << num_items) - 1u);
-}
-
 /// Calls fn(ItemId) for every item in `s`, ascending.
 template <typename Fn>
 void ForEachItem(ItemSet s, Fn fn) {

@@ -185,6 +185,13 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Adds an argument known only once the span's work has run; dropped
+  /// when kMaxTraceArgs are already set.
+  void AddArg(const TraceArg& arg) {
+    if (recorder_ == nullptr || event_.num_args == kMaxTraceArgs) return;
+    event_.args[event_.num_args++] = arg;
+  }
+
   ~TraceSpan() {
     if (recorder_ == nullptr) return;
     // A recorder uninstalled mid-span may already be flushing: drop the

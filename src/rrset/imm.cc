@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "obs/cancel.h"
 #include "rrset/node_selection.h"
@@ -114,6 +115,10 @@ ImmResult RunImmDriver(std::size_t num_nodes,
                                     static_cast<double>(n))) - 1);
   double theta_final = 0.0;
   int i = 1;
+  // The search collection only grows until the final pass clears it, so
+  // its gains and set counts carry from step to step and each step sums
+  // only the sets it appended (node_selection.h, carried sums).
+  CoverageSums search_sums;
   for (int b : budget_levels) {
     const double lam_prime = LambdaPrime(n, b, eps_prime, ell_prime);
     const double lam_star = LambdaStar(n, b, eps, ell_adj);
@@ -122,11 +127,20 @@ ImmResult RunImmDriver(std::size_t num_nodes,
       const double x = static_cast<double>(n) / std::exp2(i);
       sample_until(lam_prime / x);
       if (cancel_seen) break;
-      const GreedySelection sel = SelectMaxCoverage(rr, b);
-      const double est = CoverageOfPrefix(rr, sel, sel.seeds.size(), n);
-      if (est >= (1.0 + eps_prime) * x) {
-        lb = est / (1.0 + eps_prime);
-        break;
+      // A step reads only est, so a greedy whose covered weight cannot
+      // reach the test's (1 + eps') x |R| / n is skipped (the top-b bound
+      // of node_selection.h) and the step fails the test as it would have.
+      const double threshold = (1.0 + eps_prime) * x;
+      const std::optional<GreedySelection> sel = SelectMaxCoverage(
+          rr, b, &search_sums,
+          threshold * static_cast<double>(rr.size()) /
+              static_cast<double>(n));
+      if (sel.has_value()) {
+        const double est = CoverageOfPrefix(rr, *sel, sel->seeds.size(), n);
+        if (est >= threshold) {
+          lb = est / (1.0 + eps_prime);
+          break;
+        }
       }
       ++i;
     }

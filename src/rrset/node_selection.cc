@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -28,12 +31,54 @@ bool PopsBefore(const Entry& a, const Entry& b) { return PopsAfter(b, a); }
 
 constexpr uint32_t kUnlisted = std::numeric_limits<uint32_t>::max();
 
+/// Relative slack of the top-b bound (node_selection.h).
+constexpr double kBoundMargin = 1e-9;
+
+/// Adds the sets of `rr` past sums->num_sets to `*sums`, in ascending set
+/// id.
+void CatchUp(const RrCollection& rr, CoverageSums* sums) {
+  if (sums->num_sets == 0) {
+    sums->gain.assign(rr.num_nodes(), 0.0);
+    sums->count.assign(rr.num_nodes(), 0);
+  }
+  CWM_CHECK(sums->gain.size() == rr.num_nodes());
+  CWM_CHECK(sums->num_sets <= rr.size());
+  const std::span<const uint64_t> offsets = rr.RawOffsets();
+  const std::span<const NodeId> members = rr.RawMembers();
+  const std::span<const double> weights = rr.RawWeights();
+  for (std::size_t id = sums->num_sets; id < rr.size(); ++id) {
+    const double w = weights[id];
+    for (uint64_t m = offsets[id]; m < offsets[id + 1]; ++m) {
+      sums->gain[members[m]] += w;
+      ++sums->count[members[m]];
+    }
+  }
+  sums->num_sets = rr.size();
+}
+
+/// Sum of the `b` (at most gain.size()) largest entries of `gain`, added
+/// smallest first, so the sum depends on those values alone.
+double TopGainSum(const std::vector<double>& gain, std::size_t b) {
+  std::vector<double> top(b);
+  std::partial_sort_copy(gain.begin(), gain.end(), top.begin(), top.end(),
+                         std::greater<>());
+  return std::accumulate(top.rbegin(), top.rend(), 0.0);
+}
+
 }  // namespace
 
 GreedySelection SelectMaxCoverage(const RrCollection& rr,
                                   std::size_t budget) {
+  CoverageSums sums;
+  return *SelectMaxCoverage(rr, budget, &sums, 0.0);
+}
+
+std::optional<GreedySelection> SelectMaxCoverage(const RrCollection& rr,
+                                                 std::size_t budget,
+                                                 CoverageSums* sums,
+                                                 double needed) {
   ScopedPhaseTimer phase(Phase::kSelect);
-  CWM_TRACE_SPAN("rr.select_nodes",
+  TraceSpan span("rr.select_nodes",
                  {{"rr_sets", rr.size()}, {"budget", budget}});
   const std::size_t n = rr.num_nodes();
   budget = std::min(budget, n);
@@ -42,22 +87,20 @@ GreedySelection SelectMaxCoverage(const RrCollection& rr,
   out.covered_prefix.reserve(budget);
   if (budget == 0) return out;
 
+  CatchUp(rr, sums);
+  const bool skip = needed > 0.0 && TopGainSum(sums->gain, budget) <
+                                        needed * (1.0 - kBoundMargin);
+  span.AddArg({"greedy", !skip});
+  if (skip) return std::nullopt;
+
   const std::span<const uint64_t> offsets = rr.RawOffsets();
   const std::span<const NodeId> members = rr.RawMembers();
   const std::span<const double> weights = rr.RawWeights();
   const std::size_t num_sets = rr.size();
-
-  // gain[v] = sum of weights of not-yet-covered RR sets containing v,
-  // summed in ascending set id; count[v] = v's list length.
-  std::vector<double> gain(n, 0.0);
-  std::vector<uint32_t> count(n, 0);
-  for (std::size_t id = 0; id < num_sets; ++id) {
-    const double w = weights[id];
-    for (uint64_t m = offsets[id]; m < offsets[id + 1]; ++m) {
-      gain[members[m]] += w;
-      ++count[members[m]];
-    }
-  }
+  // gain[v] = sum of weights of not-yet-covered RR sets containing v;
+  // count[v] = v's list length.
+  std::vector<double> gain = sums->gain;
+  const std::vector<uint32_t>& count = sums->count;
 
   // Positive-gain nodes at their initial gains; [0, listed) are listed,
   // and candidates[listed] is the best unlisted one.

@@ -39,9 +39,29 @@
 //  * Gains are summed in ascending set id, as the index walk summed them,
 //    and each node's list is in ascending set id, so every debit happens
 //    in the same order on the same doubles.
+//
+// Carried sums. The IMM search loop (imm.h) selects over one collection
+// that only grows until its final pass clears it. It keeps the gains and
+// set counts in a CoverageSums between calls, and each call adds only the
+// sets appended since the last. Appending continues the ascending set-id
+// order, so the carried sums equal a fresh pass bit for bit. The greedy
+// debits a copy of the gains.
+//
+// The top-b bound. A search step reads only whether the greedy's covered
+// weight reaches the stopping test's threshold. That weight is at most the
+// sum of the b largest initial gains: the picks are distinct nodes, and
+// each pick is credited its debited gain, which is at most its initial
+// gain because subtracting a non-negative weight never rounds upward. The
+// two floating-point sums add their terms in different orders, so they
+// can differ by about b * 2^-53 relative. A call given a threshold skips
+// the greedy, tier passes included, when the b largest gains fall short
+// of it by more than a relative 1e-9, which covers that rounding and the
+// caller's for any budget below a million.
 #ifndef CWM_RRSET_NODE_SELECTION_H_
 #define CWM_RRSET_NODE_SELECTION_H_
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rrset/rr_collection.h"
@@ -62,11 +82,32 @@ struct GreedySelection {
   }
 };
 
+/// Per-node sums over the first `num_sets` sets of an append-only
+/// collection: gain[v] adds, in ascending set id, the weights of those
+/// sets that contain v, and count[v] counts them. Start one empty and pass
+/// it to every SelectMaxCoverage call on one collection until that
+/// collection is cleared.
+struct CoverageSums {
+  std::vector<double> gain;
+  std::vector<uint32_t> count;
+  std::size_t num_sets = 0;
+};
+
 /// Greedy max-coverage of `budget` seeds over `rr`. If fewer than `budget`
 /// nodes have positive gain, remaining slots are filled with the smallest
 /// untaken node ids (gain 0) so callers always receive `budget` seeds, as
 /// SeqGRD requires to exhaust item budgets.
 GreedySelection SelectMaxCoverage(const RrCollection& rr, std::size_t budget);
+
+/// The same greedy from carried sums: first adds the sets of `rr` past
+/// sums->num_sets to `*sums`. Returns std::nullopt, without running the
+/// greedy, when the `budget` largest gains fall short of `needed` by more
+/// than a relative 1e-9; the greedy's covered weight would then be below
+/// `needed` (the top-b bound above). A `needed` of 0 never skips.
+std::optional<GreedySelection> SelectMaxCoverage(const RrCollection& rr,
+                                                 std::size_t budget,
+                                                 CoverageSums* sums,
+                                                 double needed);
 
 }  // namespace cwm
 

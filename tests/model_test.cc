@@ -21,11 +21,9 @@ TEST(ItemsTest, SingletonAndContains) {
   EXPECT_FALSE(Contains(0b1010, 0));
 }
 
-TEST(ItemsTest, SetSizeAndFullSet) {
+TEST(ItemsTest, SetSize) {
   EXPECT_EQ(SetSize(0), 0);
   EXPECT_EQ(SetSize(0b1011), 3);
-  EXPECT_EQ(FullSet(3), 0b111);
-  EXPECT_EQ(FullSet(0), 0);
 }
 
 TEST(ItemsTest, ForEachItemAscending) {

@@ -110,6 +110,27 @@ TEST(TraceTest, ThreadsGetDistinctTidsAndMergeSorted) {
   }
 }
 
+TEST(TraceTest, AddArgAppendsUpToTheCap) {
+  {
+    TraceSpan untraced("test.untraced");
+    untraced.AddArg({"ignored", true});  // no recorder: a no-op
+  }
+  TraceRecorder recorder;
+  recorder.Install();
+  {
+    TraceSpan span("test.late_args", {{"a", 1}, {"b", 2}, {"c", 3}});
+    span.AddArg({"ran", false});
+    span.AddArg({"dropped", 5});
+  }
+  recorder.Uninstall();
+  const std::vector<TraceEvent> events = recorder.snapshot_events();
+  ASSERT_EQ(events.size(), 1u);
+  ASSERT_EQ(events[0].num_args, kMaxTraceArgs);
+  EXPECT_STREQ(events[0].args[3].key, "ran");
+  EXPECT_EQ(events[0].args[3].kind, TraceArg::Kind::kBool);
+  EXPECT_FALSE(events[0].args[3].bool_value);
+}
+
 TEST(TraceTest, PerThreadCapDropsAndCounts) {
   TraceRecorder recorder(TraceRecorderOptions{.max_events_per_thread = 4});
   recorder.Install();

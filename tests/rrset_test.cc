@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -19,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "model/allocation.h"
+#include "obs/trace.h"
 #include "rrset/imm.h"
 #include "rrset/node_selection.h"
 #include "rrset/prima_plus.h"
@@ -489,6 +493,113 @@ TEST(NodeSelectionReferenceTest, ImmCollectionsOnPreferentialAttachment) {
   }
 }
 
+/// Sum of the `budget` largest per-node gains of `rr`, largest first.
+double ReferenceTopGainSum(const RrCollection& rr, std::size_t budget) {
+  std::vector<double> gain(rr.num_nodes(), 0.0);
+  for (uint32_t id = 0; id < rr.size(); ++id) {
+    for (NodeId v : rr.Members(id)) gain[v] += rr.Weight(id);
+  }
+  std::sort(gain.begin(), gain.end(), std::greater<>());
+  double sum = 0.0;
+  for (std::size_t k = 0; k < std::min(budget, gain.size()); ++k) {
+    sum += gain[k];
+  }
+  return sum;
+}
+
+TEST(NodeSelectionReferenceTest, CarriedSumsOverAGrowingCollection) {
+  // Batches as uneven as the IMM search's doublings and level switches,
+  // including empty ones. n = 200 takes the one-eighth rule at once.
+  const std::size_t batches[] = {1, 0, 17, 250, 3, 1200, 40, 2500, 0, 9};
+  struct Case {
+    std::size_t n;
+    std::initializer_list<std::size_t> budgets;
+  };
+  for (const Case& c : {Case{5000, {1, 10, 50}}, Case{200, {10, 50}}}) {
+    for (const bool unit : {true, false}) {
+      Rng rng(unit ? 31 : 32);
+      RrCollection rr(c.n);
+      // Per budget: sums carried without a threshold, and sums carried
+      // with the reference's own covered weight as the threshold, which
+      // the bound must never skip.
+      std::vector<CoverageSums> plain(c.budgets.size());
+      std::vector<CoverageSums> bounded(c.budgets.size());
+      for (std::size_t batch : batches) {
+        for (std::size_t k = 0; k < batch; ++k) {
+          rr.Add(SkewedSet(rng, c.n, 1 + static_cast<int>(rng.NextBounded(12))),
+                 unit ? 1.0 : rng.NextDouble());
+        }
+        std::size_t j = 0;
+        for (std::size_t budget : c.budgets) {
+          const std::string what = std::string(unit ? "unit" : "[0,1]") +
+                                   " weights, n " + std::to_string(c.n) +
+                                   ", " + std::to_string(rr.size()) +
+                                   " sets, budget " + std::to_string(budget);
+          const GreedySelection want = ReferenceSelectMaxCoverage(rr, budget);
+          for (const auto& [sums, needed] :
+               {std::pair{&plain[j], 0.0},
+                std::pair{&bounded[j], want.CoveredAt(budget)}}) {
+            const std::optional<GreedySelection> got =
+                SelectMaxCoverage(rr, budget, sums, needed);
+            ASSERT_TRUE(got.has_value()) << what << ", needed " << needed;
+            ASSERT_EQ(got->seeds, want.seeds) << what;
+            ASSERT_EQ(Bits(got->covered_prefix), Bits(want.covered_prefix))
+                << what;
+            EXPECT_EQ(sums->num_sets, rr.size());
+          }
+          ++j;
+        }
+      }
+    }
+  }
+}
+
+TEST(NodeSelectionReferenceTest, TopGainBoundSkipsOnlyWhatCannotReach) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(300 + seed);
+    const std::size_t n = 400;
+    RrCollection rr(n);
+    for (int k = 0; k < 3000; ++k) {
+      rr.Add(SkewedSet(rng, n, 1 + static_cast<int>(rng.NextBounded(8))),
+             seed % 2 == 0 ? 1.0 : rng.NextDouble());
+    }
+    for (std::size_t budget : {1, 2, 10, 50}) {
+      const std::string what =
+          "seed " + std::to_string(seed) + ", budget " + std::to_string(budget);
+      const GreedySelection want = ReferenceSelectMaxCoverage(rr, budget);
+      const double top = ReferenceTopGainSum(rr, budget);
+      EXPECT_GE(top, want.CoveredAt(budget)) << what;
+      // A greedy that reaches `needed` always runs.
+      CoverageSums reached;
+      const std::optional<GreedySelection> got =
+          SelectMaxCoverage(rr, budget, &reached, want.CoveredAt(budget));
+      ASSERT_TRUE(got.has_value()) << what;
+      EXPECT_EQ(got->seeds, want.seeds) << what;
+      // One the top-b sum cannot reach never does.
+      CoverageSums beyond;
+      EXPECT_FALSE(
+          SelectMaxCoverage(rr, budget, &beyond, top * (1.0 + 1e-6)).has_value())
+          << what;
+    }
+  }
+  // Rounding: summed in greedy order (largest first) these gains round up
+  // twice and cover 1 + 3 * 2^-52, while the b largest gains, added
+  // smallest first, sum to 1 + 2 * 2^-52. Only the bound's relative
+  // margin keeps this greedy from being skipped.
+  RrCollection rr(3);
+  rr.Add(std::vector<NodeId>{0}, 1.0);
+  rr.Add(std::vector<NodeId>{0}, 0x1p-52);
+  rr.Add(std::vector<NodeId>{1}, 0x1p-53 + 0x1p-59);
+  rr.Add(std::vector<NodeId>{2}, 0x1p-53 + 0x1p-60);
+  const GreedySelection want = ReferenceSelectMaxCoverage(rr, 3);
+  ASSERT_EQ(want.CoveredAt(3), 1.0 + 0x3p-52);
+  CoverageSums sums;
+  const std::optional<GreedySelection> got =
+      SelectMaxCoverage(rr, 3, &sums, want.CoveredAt(3));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(Bits(got->covered_prefix), Bits(want.covered_prefix));
+}
+
 TEST(RrSamplerTest, StandardRrSetOnDeterministicGraphIsReverseReachable) {
   // 0 -> 1 -> 2, prob 1: RR(2) = {2,1,0}, RR(0) = {0}.
   GraphBuilder b(3);
@@ -870,6 +981,161 @@ TEST(PrimaPlusTest, SeedsOrderedByGreedyGain) {
   const double s1 = est.Spread({result.seeds[0]});
   const double s_last = est.Spread({result.seeds[3]});
   EXPECT_GE(s1 + 5.0, s_last);
+}
+
+/// RunImmDriver's loop with a full greedy (the whole-index reference) at
+/// every search step and no cache. `failed_steps` counts the steps whose
+/// estimate failed the stopping test.
+ImmResult ReferenceImmDriver(std::size_t n, const std::vector<int>& levels,
+                             const ImmParams& params,
+                             const RrSourceFactory& source,
+                             int* failed_steps) {
+  const double logn = std::log(static_cast<double>(n));
+  const double eps = params.epsilon;
+  const double eps_prime = std::sqrt(2.0) * eps;
+  const double ell_adj = params.ell + std::log(2.0) / logn;
+  const double ell_prime =
+      ell_adj + std::log(static_cast<double>(levels.size())) / logn;
+  RrPipeline pipeline(source, params.seed, params.num_threads);
+  RrCollection rr(n);
+  auto sample_until = [&](double theta) {
+    std::size_t want = static_cast<std::size_t>(std::ceil(theta));
+    if (params.max_rr_sets > 0) want = std::min(want, params.max_rr_sets);
+    pipeline.ExtendTo(&rr, want);
+  };
+  auto estimate = [&](const GreedySelection& sel, std::size_t k) {
+    return rr.size() == 0 ? 0.0
+                          : static_cast<double>(n) * sel.CoveredAt(k) /
+                                static_cast<double>(rr.size());
+  };
+  const int i_max =
+      std::max(1, static_cast<int>(std::log2(static_cast<double>(n))) - 1);
+  double theta_final = 0.0;
+  int i = 1;
+  for (int b : levels) {
+    double lb = 1.0;
+    while (i <= i_max) {
+      const double x = static_cast<double>(n) / std::exp2(i);
+      sample_until(LambdaPrime(n, b, eps_prime, ell_prime) / x);
+      const GreedySelection sel =
+          ReferenceSelectMaxCoverage(rr, static_cast<std::size_t>(b));
+      const double est = estimate(sel, sel.seeds.size());
+      if (est >= (1.0 + eps_prime) * x) {
+        lb = est / (1.0 + eps_prime);
+        break;
+      }
+      ++*failed_steps;
+      ++i;
+    }
+    const double theta_b = LambdaStar(n, b, eps, ell_adj) / lb;
+    sample_until(theta_b);
+    theta_final = std::max(theta_final, theta_b);
+  }
+  rr.Clear();
+  sample_until(theta_final);
+  const GreedySelection sel = ReferenceSelectMaxCoverage(
+      rr, static_cast<std::size_t>(levels.back()));
+  ImmResult result;
+  result.seeds = sel.seeds;
+  result.rr_count = rr.size();
+  result.coverage_estimate = estimate(sel, sel.seeds.size());
+  for (int b : levels) {
+    result.prefix_estimates.push_back(
+        estimate(sel, static_cast<std::size_t>(b)));
+  }
+  return result;
+}
+
+/// rr.select_nodes spans whose greedy was skipped by the top-b bound.
+int SkippedGreedyRuns(const TraceRecorder& recorder) {
+  int skipped = 0;
+  for (const TraceEvent& event : recorder.snapshot_events()) {
+    if (std::string(event.name) != "rr.select_nodes") continue;
+    for (uint32_t a = 0; a < event.num_args; ++a) {
+      if (std::string(event.args[a].key) == "greedy" &&
+          !event.args[a].bool_value) {
+        ++skipped;
+      }
+    }
+  }
+  return skipped;
+}
+
+TEST(ImmSearchTest, CarriedSumsAndSkipsMatchAFullGreedyAtEveryStep) {
+  const Graph g = WithWeightedCascade(BarabasiAlbert(1500, 3, 43));
+  const RrSourceFactory standard = [&g]() -> RrSampleFn {
+    auto sampler = std::make_shared<RrSampler>(g);
+    return [sampler](Rng& rng, std::vector<NodeId>* out) {
+      sampler->SampleStandard(rng, out);
+      return 1.0;
+    };
+  };
+  const std::vector<NodeId> prior{0, 5, 9, 40, 41, 300};
+  auto blocked = std::make_shared<std::vector<char>>(g.num_nodes(), 0);
+  for (NodeId v : prior) (*blocked)[v] = 1;
+  const RrSourceFactory marginal = [&g, blocked]() -> RrSampleFn {
+    auto sampler = std::make_shared<RrSampler>(g);
+    return [sampler, blocked](Rng& rng, std::vector<NodeId>* out) {
+      sampler->SampleMarginal(rng, *blocked, out);
+      return 1.0;
+    };
+  };
+  UtilityConfigBuilder cb(2);
+  cb.SetItemValue(0, 1.0).SetItemValue(1, 0.4);
+  const UtilityConfig c = std::move(cb).Build().value();
+  Allocation sp(2);
+  for (NodeId v = 0; v < g.num_nodes(); v += 29) sp.Add(v, 1);
+  const auto fixed = std::make_shared<FixedAllocationIndex>(
+      FixedAllocationIndex::Build(g.num_nodes(), c, sp));
+  const RrSourceFactory weighted = [&g, fixed]() -> RrSampleFn {
+    auto sampler = std::make_shared<RrSampler>(g);
+    return [sampler, fixed](Rng& rng, std::vector<NodeId>* out) {
+      return sampler->SampleWeighted(rng, *fixed, 1.0, out);
+    };
+  };
+
+  struct Case {
+    const char* what;
+    std::vector<int> levels;
+    const RrSourceFactory* source;
+    std::function<ImmResult(const ImmParams&)> run;
+  };
+  const std::vector<Case> cases = {
+      {"Imm", {10}, &standard,
+       [&](const ImmParams& p) { return Imm(g, 10, p); }},
+      {"two-level PrimaPlus", {4, 12}, &marginal,
+       [&](const ImmParams& p) { return PrimaPlus(g, prior, {4}, 12, p); }},
+      {"weighted source", {8}, &weighted,
+       [&](const ImmParams& p) {
+         return RunImmDriver(g.num_nodes(), {8}, p, weighted);
+       }},
+  };
+  for (const Case& tc : cases) {
+    for (uint64_t seed : {3, 17}) {
+      const ImmParams params{.epsilon = 0.5, .ell = 1.0, .seed = seed};
+      int failed_steps = 0;
+      const ImmResult want = ReferenceImmDriver(
+          g.num_nodes(), tc.levels, params, *tc.source, &failed_steps);
+      TraceRecorder recorder;
+      recorder.Install();
+      const ImmResult got = tc.run(params);
+      recorder.Uninstall();
+      const std::string what =
+          std::string(tc.what) + ", seed " + std::to_string(seed);
+      EXPECT_EQ(got.seeds, want.seeds) << what;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.coverage_estimate),
+                std::bit_cast<uint64_t>(want.coverage_estimate))
+          << what;
+      EXPECT_EQ(Bits(got.prefix_estimates), Bits(want.prefix_estimates))
+          << what;
+      EXPECT_EQ(got.rr_count, want.rr_count) << what;
+      // The bound skipped some of the failing steps' greedy runs, and
+      // never a passing one's.
+      const int skipped = SkippedGreedyRuns(recorder);
+      EXPECT_GT(skipped, 0) << what;
+      EXPECT_LE(skipped, failed_steps) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Protocol tests for WorldPoolStore (simulate/world_pool.h): one build
 // per key under concurrency, parallel builds of distinct keys, pools
-// shared across estimators with one world-sequence identity, LRU eviction
+// shared across estimators with one world-sequence identity, concurrent
+// distinct-key builds held within the budget, LRU eviction
 // of released pools only, and a store full of held pools building a
 // shorter prefix instead of evicting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -98,6 +100,41 @@ TEST(WorldPoolStoreTest, ConcurrentDistinctKeysAllMaterialize) {
     for (int u = 0; u < t; ++u) EXPECT_NE(pools[t], pools[u]);
   }
   EXPECT_EQ(builds.value() - builds_before, static_cast<uint64_t>(kThreads));
+}
+
+TEST(WorldPoolStoreTest, ConcurrentDistinctKeyBuildsStayWithinTheBudget) {
+  // Distinct-key builds run in parallel outside the lock, so each must
+  // reserve its share of the budget before it starts. With room for one
+  // and a half pools, four builds started together hold one and a half
+  // pools' worth in all, not four pools. 2000 worlds keep each build
+  // running while the others reserve; five rounds give the race as many
+  // chances to show.
+  const Graph g = TestGraph();
+  const UtilityConfig c = MakeConfigC5();
+  constexpr int kThreads = 4;
+  constexpr int kWorlds = 2000;
+  const std::size_t per_world = EstimateSnapshotBytes(g);
+  const std::size_t budget = per_world * kWorlds * 3 / 2;
+  for (int round = 0; round < 5; ++round) {
+    WorldPoolStore store(budget);
+    std::vector<std::shared_ptr<const WorldPool>> pools(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        pools[t] = store.GetOrBuild(g, c, /*seed=*/200 + 10 * round + t,
+                                    kWorlds, /*num_threads=*/1);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    std::size_t held = 0;
+    for (const std::shared_ptr<const WorldPool>& pool : pools) {
+      ASSERT_NE(pool, nullptr);
+      held += static_cast<std::size_t>(pool->stats().snapshotted) * per_world;
+    }
+    EXPECT_LE(held, budget) << "round " << round;
+  }
 }
 
 // Two estimators with one world-sequence identity resolve to one pool:
